@@ -40,7 +40,6 @@ from .fit import (
 from .ingest import (
     IntensityKind,
     ParseOptions,
-    PolarObservation,
     ScanDataset,
     ScanMeta,
     ValidationReport,
@@ -89,7 +88,6 @@ __all__ = [
     "InverseSquareScaling",
     "OutlierInjection",
     "ParseOptions",
-    "PolarObservation",
     "PreprocessConfig",
     "RangeVarianceModel",
     "RangevarError",

@@ -27,10 +27,10 @@ flags override file values where both exist (currently --seed).
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import os
 import sys
-from dataclasses import dataclass
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -45,24 +45,25 @@ CURVE_HEADER = "intensity,predicted_std_mm"
 CURVE_POINTS = 256
 
 
-@dataclass
-class RunConfig:
-    """Resolved per-invocation settings, validated before any I/O."""
-
-    out_dir: Path | None
-    inputs: dict[str, Path]
-    preprocess_cfg: preprocess.PreprocessConfig | None = None
-    calibration_cfg: calibrate_mod.CalibrationConfig | None = None
-    fit_opts: fit_mod.FitOptions | None = None
-    angular: evaluate_mod.AngularSigmas | None = None
-
-
 def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file of its own in the target directory.
+
+    Concurrent writers into one directory never share a temporary file,
+    a failed write leaves none behind, and the result gets the mode a
+    plain open() would give it rather than mkstemp's 0600.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_text(path: Path) -> str:
@@ -270,10 +271,7 @@ def _preprocess_config(args) -> preprocess.PreprocessConfig:
 def _cmd_simulate(args) -> int:
     cfg = read_sim_config(_read_text(Path(args.config)))
     if args.seed is not None:
-        cfg = simulate.SimulationConfig(
-            k_system=cfg.k_system, boards=cfg.boards, truth_model=cfg.truth_model,
-            scaling=cfg.scaling, outlier_injection=cfg.outlier_injection, seed=args.seed,
-        )
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     ds, truth = simulate.simulate_profiles(cfg)
     out = Path(args.out)
     _write_atomic(out / "scan.csv", ingest.serialize_dataset(ds))
@@ -425,10 +423,7 @@ def _cmd_pipeline(args) -> int:
 
     cfg = read_sim_config(_read_text(Path(args.simulate)))
     if args.seed is not None:
-        cfg = simulate.SimulationConfig(
-            k_system=cfg.k_system, boards=cfg.boards, truth_model=cfg.truth_model,
-            scaling=cfg.scaling, outlier_injection=cfg.outlier_injection, seed=args.seed,
-        )
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     out = Path(args.out)
 
     ds, truth = simulate.simulate_profiles(cfg)

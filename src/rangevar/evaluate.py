@@ -180,11 +180,11 @@ def build_vcm(ds: ScanDataset, m: RangeVarianceModel, ang: AngularSigmas) -> Vcm
     Range variance comes from the model at the observation's intensity
     (mm**2); angular variances are the squared manufacturer sigmas.
     """
-    intensities = np.array([o.intensity for o in ds.observations])
+    intensities = ds.intensity
     bad = np.nonzero(intensities <= 0)[0]
     if bad.size:
         raise NonPositiveIntensity(
-            f"observation {bad[0]}: intensity {intensities[bad[0]]!r} must be > 0"
+            f"observation {bad[0]}: intensity {float(intensities[bad[0]])!r} must be > 0"
         )
     sigma = evaluate_model(m, intensities)
     return VcmBlocks(
@@ -220,7 +220,6 @@ def vcm_to_csv(blocks: VcmBlocks) -> str:
     lines = [VCM_HEADER]
     vv = repr(blocks.var_vertical_rad2)
     vh = repr(blocks.var_horizontal_rad2)
-    for i, vr in enumerate(blocks.var_range_mm2):
-        lines.append(f"{i},{float(vr)!r},{vv},{vh}")
+    lines.extend(f"{i},{vr!r},{vv},{vh}" for i, vr in enumerate(blocks.var_range_mm2.tolist()))
     lines.append("")
     return "\n".join(lines)

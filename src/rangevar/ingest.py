@@ -13,13 +13,26 @@ the form ``#key=value`` carry dataset metadata:
 
 They are followed by the mandatory header
 ``profile,vertical_angle,horizontal_angle,range,intensity`` (any column
-order, exactly these five names) and one observation per line. Angles are
-radians unless ParseOptions says otherwise; ranges are meters; intensity
-is dimensionless (raw counts or scaled percent, per metadata). Unknown
+order, exactly these five names) and one observation per line. Blank
+lines and ``#`` lines in the body are skipped. Angles are radians unless
+ParseOptions says otherwise; ranges are meters; intensity is
+dimensionless (raw counts or scaled percent, per metadata). Unknown
 directives are ignored so newer writers stay readable.
+
+Numbers use Python's int() and float() syntax. A row's fields are checked
+in the header order above, each completely before the next: the profile
+is an integer in [0, 2**63), every float is finite, range > 0 and
+intensity >= 0. The first failure names the 1-based line (lines as
+str.splitlines counts them).
 
 Serialization writes the same format with shortest round-trip float
 representations, so parse -> serialize -> parse is numerically exact.
+
+A ScanDataset holds its observations as five numpy columns. The parser
+converts the body in blocks of lines with numpy's text reader and checks
+each block with array masks; a block that fails any check is parsed
+again row by row, which raises the error naming the first bad line (or,
+in lenient mode, drops the bad rows).
 """
 
 from __future__ import annotations
@@ -30,6 +43,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     EmptyDataset,
     InvalidRange,
@@ -39,6 +54,11 @@ from .errors import (
 )
 
 _COLUMNS = ("profile", "vertical_angle", "horizontal_angle", "range", "intensity")
+_DTYPES = {name: np.int64 if name == "profile" else np.float64 for name in _COLUMNS}
+
+# Body lines converted at a time. Bounds the reader's transient memory and
+# the share of the file a single bad row sends through the per-row parse.
+_BLOCK_LINES = 16384
 
 _ANGLE_FACTORS = {
     "rad": 1.0,
@@ -62,17 +82,6 @@ class IntensityKind(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class PolarObservation:
-    """One scan point: range plus two angles plus backscatter intensity."""
-
-    profile_index: int
-    vertical_angle: float   # rad
-    horizontal_angle: float  # rad
-    range: float            # m, > 0
-    intensity: float        # dimensionless, >= 0
-
-
-@dataclass(frozen=True, slots=True)
 class ScanMeta:
     """Dataset-level metadata from directives or parse options."""
 
@@ -83,19 +92,37 @@ class ScanMeta:
     point_spacing_note: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanDataset:
-    """An ordered, immutable collection of observations plus metadata.
+    """An ordered, immutable scan: five equal-length columns plus metadata.
 
-    skipped_rows counts rows dropped under lenient parsing (0 otherwise).
+    Row i of every column is observation i, in file order. Each column is
+    a read-only copy of what the constructor is given: profile (int64),
+    vertical_angle and horizontal_angle (float64, rad), range (float64,
+    m) and intensity (float64). Equality is identity; compare columns
+    with numpy. skipped_rows counts rows dropped under lenient parsing
+    (0 otherwise).
     """
 
-    observations: tuple[PolarObservation, ...]
+    profile: np.ndarray
+    vertical_angle: np.ndarray
+    horizontal_angle: np.ndarray
+    range: np.ndarray
+    intensity: np.ndarray
     meta: ScanMeta
     skipped_rows: int = 0
 
+    def __post_init__(self):
+        columns = {name: np.array(getattr(self, name), dtype=_DTYPES[name]) for name in _COLUMNS}
+        shapes = [column.shape for column in columns.values()]
+        if len(shapes[0]) != 1 or len(set(shapes)) != 1:
+            raise ValueError(f"columns must be 1-D and of one length, got shapes {shapes}")
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.profile)
 
 
 @dataclass(frozen=True)
@@ -129,22 +156,34 @@ class ValidationReport:
         return len(self.violations)
 
 
+def _decode(data: bytes) -> str:
+    """UTF-8 text; an undecodable byte is a MalformedRow on its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Everything before exc.start decodes; count lines as the parser does.
+        line_number = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise MalformedRow(
+            line_number, f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+
+
 def _read_text(source) -> str:
-    """Accept a path, bytes, str, or file-like object and return text."""
+    """Accept a path, bytes, str, or file-like object and return text.
+
+    A str holding a line break is CSV content; any other str is a path,
+    since a dataset needs a header line plus at least one row.
+    """
     if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        # A string is a path if it names an existing file, else raw content.
-        if "\n" not in source and os.path.exists(source):
-            with open(source, "rb") as fh:
-                return fh.read().decode("utf-8")
+        return _decode(source)
+    if isinstance(source, str) and ("\n" in source or "\r" in source):
         return source
-    if isinstance(source, os.PathLike):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            return fh.read().decode("utf-8")
+            return _decode(fh.read())
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        return _decode(data) if isinstance(data, bytes) else data
     raise TypeError(f"unsupported source type: {type(source).__name__}")
 
 
@@ -158,12 +197,85 @@ def _parse_float(text: str, line_number: int, column: str) -> float:
     return value
 
 
+def _parse_row(line: str, line_number: int, positions: list[int]) -> tuple:
+    """One stripped data line as (profile, vertical, horizontal, range, intensity)."""
+    fields = line.split(",")
+    if len(fields) != len(_COLUMNS):
+        raise MalformedRow(line_number, f"expected {len(_COLUMNS)} fields, got {len(fields)}")
+    p_prof, p_vert, p_horiz, p_range, p_inten = positions
+    try:
+        profile = int(fields[p_prof])
+    except ValueError:
+        raise MalformedRow(line_number, f"cannot parse profile index '{fields[p_prof]}'") from None
+    if profile < 0:
+        raise MalformedRow(line_number, f"profile index must be >= 0, got {profile}")
+    if profile >= 2**63:
+        raise MalformedRow(line_number, f"profile index must be < 2**63, got {profile}")
+    vert = _parse_float(fields[p_vert], line_number, "vertical_angle")
+    horiz = _parse_float(fields[p_horiz], line_number, "horizontal_angle")
+    rng = _parse_float(fields[p_range], line_number, "range")
+    if rng <= 0.0:
+        raise InvalidRange(line_number, rng)
+    inten = _parse_float(fields[p_inten], line_number, "intensity")
+    if inten < 0.0:
+        raise MalformedRow(line_number, f"intensity must be >= 0, got {inten!r}")
+    return profile, vert, horiz, rng, inten
+
+
+def _parse_rows(block: list[str], first_line: int, positions: list[int], lenient: bool):
+    """Row-by-row parse of one block: the first error, or lenient skips.
+
+    Returns the five columns and the number of rows skipped.
+    """
+    rows = []
+    skipped = 0
+    for line_number, raw in enumerate(block, first_line):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append(_parse_row(line, line_number, positions))
+        except MalformedRow:
+            if not lenient:
+                raise
+            skipped += 1
+    columns = list(zip(*rows)) or [()] * len(_COLUMNS)
+    return [np.array(c, dtype=_DTYPES[name]) for name, c in zip(_COLUMNS, columns)], skipped
+
+
+def _parse_block(block: list[str], row_dtype: np.dtype):
+    """The five columns of a block in which every line is a valid row, else None.
+
+    numpy's text reader converts the fields in C. What it accepts, it reads
+    as int() and float() do (the same correctly rounded conversion), and it
+    refuses the rest of their syntax (underscores, non-ASCII digits). It
+    skips empty lines, so a block holding one is left to the per-row parse.
+    """
+    if "" in block:
+        return None
+    try:
+        rows = np.loadtxt(block, dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    columns = [rows[name] for name in _COLUMNS]
+    profile, _, _, rng, inten = columns
+    if not (
+        (profile >= 0).all()
+        and all(np.isfinite(column).all() for column in columns[1:])
+        and (rng > 0).all()
+        and (inten >= 0).all()
+    ):
+        return None
+    return columns
+
+
 def parse_profile_csv(source, options: ParseOptions = ParseOptions()) -> ScanDataset:
     """Parse the documented CSV format into a ScanDataset.
 
     Raises MalformedRow / MissingColumn / NonFiniteValue / InvalidRange on
     the first bad row (strict mode) and EmptyDataset when no data rows
-    survive. Observation order equals file row order.
+    survive. Observation order equals file row order. A one-line str
+    source is a path, so a missing file raises FileNotFoundError.
     """
     if options.angle_unit not in _ANGLE_FACTORS:
         raise ValueError(f"unknown angle unit {options.angle_unit!r}")
@@ -216,46 +328,26 @@ def parse_profile_csv(source, options: ParseOptions = ParseOptions()) -> ScanDat
     if len(header) != len(_COLUMNS):
         extra = [c for c in header if c not in _COLUMNS]
         raise MalformedRow(line_number, f"unexpected columns {extra}")
-    index = {column: header.index(column) for column in _COLUMNS}
+    positions = [header.index(column) for column in _COLUMNS]
+    row_dtype = np.dtype([(name, _DTYPES[name]) for name in header])
 
-    meta = ScanMeta(**meta_kw)
-    observations: list[PolarObservation] = []
+    blocks = []
     skipped = 0
-    for raw in lines[line_number:]:
-        line_number += 1
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            fields = line.split(",")
-            if len(fields) != len(_COLUMNS):
-                raise MalformedRow(line_number, f"expected {len(_COLUMNS)} fields, got {len(fields)}")
-            try:
-                profile = int(fields[index["profile"]])
-            except ValueError:
-                raise MalformedRow(
-                    line_number, f"cannot parse profile index '{fields[index['profile']]}'"
-                ) from None
-            if profile < 0:
-                raise MalformedRow(line_number, f"profile index must be >= 0, got {profile}")
-            vert = _parse_float(fields[index["vertical_angle"]], line_number, "vertical_angle") * angle_factor
-            horiz = _parse_float(fields[index["horizontal_angle"]], line_number, "horizontal_angle") * angle_factor
-            rng = _parse_float(fields[index["range"]], line_number, "range")
-            if rng <= 0.0:
-                raise InvalidRange(line_number, rng)
-            inten = _parse_float(fields[index["intensity"]], line_number, "intensity")
-            if inten < 0.0:
-                raise MalformedRow(line_number, f"intensity must be >= 0, got {inten!r}")
-        except MalformedRow:
-            if options.lenient:
-                skipped += 1
-                continue
-            raise
-        observations.append(PolarObservation(profile, vert, horiz, rng, inten))
+    for start in range(line_number, len(lines), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        columns = _parse_block(block, row_dtype)
+        if columns is None:
+            columns, bad = _parse_rows(block, start + 1, positions, options.lenient)
+            skipped += bad
+        blocks.append(columns)
 
-    if not observations:
+    if not any(len(columns[0]) for columns in blocks):
         raise EmptyDataset("no data rows")
-    return ScanDataset(tuple(observations), meta, skipped_rows=skipped)
+    profile, vert, horiz, rng, inten = (np.concatenate(c) for c in zip(*blocks))
+    return ScanDataset(
+        profile, vert * angle_factor, horiz * angle_factor, rng, inten,
+        ScanMeta(**meta_kw), skipped_rows=skipped,
+    )
 
 
 def serialize_dataset(ds: ScanDataset) -> str:
@@ -276,47 +368,53 @@ def serialize_dataset(ds: ScanDataset) -> str:
     if meta.point_spacing_note:
         out.append(f"#note={meta.point_spacing_note}")
     out.append(",".join(_COLUMNS))
-    for obs in ds.observations:
-        out.append(
-            f"{obs.profile_index},{obs.vertical_angle!r},{obs.horizontal_angle!r},"
-            f"{obs.range!r},{obs.intensity!r}"
-        )
+    columns = [getattr(ds, name) for name in _COLUMNS]
+    for start in range(0, len(ds), _BLOCK_LINES):
+        profile, *floats = (column[start:start + _BLOCK_LINES].tolist() for column in columns)
+        out.extend(map(",".join, zip(map(str, profile), *(map(repr, v) for v in floats))))
     out.append("")
     return "\n".join(out)
+
+
+def _finite_span(values: np.ndarray) -> tuple[float, float]:
+    """(min, max) over the finite values, (inf, -inf) when there are none.
+
+    argmin/argmax keep the first of equal values, so -0.0 and 0.0 come
+    out as they stand in the data.
+    """
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        return math.inf, -math.inf
+    return float(finite[finite.argmin()]), float(finite[finite.argmax()])
 
 
 def validate_dataset(ds: ScanDataset) -> ValidationReport:
     """Report counts, spans, and any observation invariant violations.
 
     Never mutates or filters; a violation is a human-readable string
-    naming the observation index and the broken invariant.
+    naming the observation index and the broken invariant, ordered by
+    observation, then range, intensity, vertical, horizontal.
     """
+    bad_range = ~(np.isfinite(ds.range) & (ds.range > 0.0))
+    bad_intensity = ~(np.isfinite(ds.intensity) & (ds.intensity >= 0.0))
+    bad_vertical = ~np.isfinite(ds.vertical_angle)
+    bad_horizontal = ~np.isfinite(ds.horizontal_angle)
     violations: list[str] = []
-    profiles = set()
-    v_lo = math.inf
-    v_hi = -math.inf
-    i_lo = math.inf
-    i_hi = -math.inf
-    for i, obs in enumerate(ds.observations):
-        profiles.add(obs.profile_index)
-        if not math.isfinite(obs.range) or obs.range <= 0.0:
-            violations.append(f"observation {i}: range {obs.range!r} not finite and > 0")
-        if not math.isfinite(obs.intensity) or obs.intensity < 0.0:
-            violations.append(f"observation {i}: intensity {obs.intensity!r} not finite and >= 0")
-        if not math.isfinite(obs.vertical_angle):
+    for i in np.flatnonzero(bad_range | bad_intensity | bad_vertical | bad_horizontal).tolist():
+        if bad_range[i]:
+            violations.append(f"observation {i}: range {float(ds.range[i])!r} not finite and > 0")
+        if bad_intensity[i]:
+            violations.append(
+                f"observation {i}: intensity {float(ds.intensity[i])!r} not finite and >= 0"
+            )
+        if bad_vertical[i]:
             violations.append(f"observation {i}: vertical_angle not finite")
-        if not math.isfinite(obs.horizontal_angle):
+        if bad_horizontal[i]:
             violations.append(f"observation {i}: horizontal_angle not finite")
-        if math.isfinite(obs.vertical_angle):
-            v_lo = min(v_lo, obs.vertical_angle)
-            v_hi = max(v_hi, obs.vertical_angle)
-        if math.isfinite(obs.intensity):
-            i_lo = min(i_lo, obs.intensity)
-            i_hi = max(i_hi, obs.intensity)
     return ValidationReport(
-        observation_count=len(ds.observations),
-        profile_count=len(profiles),
-        vertical_angle_span=(v_lo, v_hi),
-        intensity_span=(i_lo, i_hi),
+        observation_count=len(ds),
+        profile_count=int(np.unique(ds.profile).size),
+        vertical_angle_span=_finite_span(ds.vertical_angle),
+        intensity_span=_finite_span(ds.intensity),
         violations=tuple(violations),
     )

@@ -134,11 +134,9 @@ def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> list[TickG
     original file order is kept. Tick ids are ordinal (0, 1, ...) in
     ascending center order for both modes.
     """
-    if len(ds.observations) == 0:
+    if len(ds) == 0:
         raise TooFewValues("empty dataset")
-    angles = np.array([o.vertical_angle for o in ds.observations])
-    ranges = np.array([o.range for o in ds.observations])
-    intensities = np.array([o.intensity for o in ds.observations])
+    angles, ranges, intensities = ds.vertical_angle, ds.range, ds.intensity
 
     if cfg.tick_mode is TickMode.EXPLICIT_COLUMN:
         centers, inverse = np.unique(angles, return_inverse=True)

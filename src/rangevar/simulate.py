@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, NonPositiveRange
-from .ingest import IntensityKind, PolarObservation, ScanDataset, ScanMeta
+from .ingest import IntensityKind, ScanDataset, ScanMeta
 
 # Vertical encoder step between consecutive ticks, radians. Boards occupy
 # consecutive ticks starting at one step above zero.
@@ -162,9 +162,9 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
     a, b, c = cfg.truth_model
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.boards))
 
-    observations: list[PolarObservation] = []
+    columns: list[tuple[np.ndarray, ...]] = []
     truth_ticks: list[GroundTruthTick] = []
-    outlier_indices: list[int] = []
+    outlier_blocks: list[np.ndarray] = []
     global_tick = 0
     row_offset = 0
 
@@ -186,7 +186,6 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
 
         inj = cfg.outlier_injection
         n_out = int(round(inj.fraction * n_prof))
-        outlier_cols = np.zeros((n_ticks, 0), dtype=np.int64)
         if n_out > 0 and inj.magnitude_sigma != 0.0:
             outlier_cols = np.empty((n_ticks, n_out), dtype=np.int64)
             for t in range(n_ticks):
@@ -194,6 +193,10 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
                 signs = rng.choice((-1.0, 1.0), size=n_out)
                 ranges[t, cols] += signs * inj.magnitude_sigma * sigma_m
                 outlier_cols[t] = cols
+            # profile-major emission: row index of (t, p) is p * n_ticks + t
+            outlier_blocks.append(
+                (row_offset + outlier_cols * n_ticks + np.arange(n_ticks)[:, None]).ravel()
+            )
 
         if cfg.scaling is None:
             recorded = np.full(n_ticks, intensity_true)
@@ -203,37 +206,30 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
         else:
             recorded = np.full(n_ticks, cfg.scaling.apply(intensity_true))
 
-        for t in range(n_ticks):
-            truth_ticks.append(
-                GroundTruthTick(
-                    tick_id=global_tick + t,
-                    vertical_angle=float(angles[t]),
-                    true_intensity=intensity_true,
-                    true_sigma_mm=sigma_mm,
-                )
+        truth_ticks.extend(
+            GroundTruthTick(
+                tick_id=global_tick + t,
+                vertical_angle=angle,
+                true_intensity=intensity_true,
+                true_sigma_mm=sigma_mm,
             )
-            # profile-major emission: row index of (t, p) is p * n_ticks + t
-            for col in outlier_cols[t]:
-                outlier_indices.append(row_offset + int(col) * n_ticks + t)
-
-        for p in range(n_prof):
-            for t in range(n_ticks):
-                observations.append(
-                    PolarObservation(
-                        profile_index=p,
-                        vertical_angle=float(angles[t]),
-                        horizontal_angle=0.0,
-                        range=float(ranges[t, p]),
-                        intensity=float(recorded[t]),
-                    )
-                )
+            for t, angle in enumerate(angles.tolist())
+        )
+        columns.append((
+            np.repeat(np.arange(n_prof), n_ticks),
+            np.tile(angles, n_prof),
+            np.zeros(n_ticks * n_prof),
+            ranges.T.ravel(),
+            np.tile(recorded, n_prof),
+        ))
         global_tick += n_ticks
         row_offset += n_ticks * n_prof
 
     kind = IntensityKind.RAW if cfg.scaling is None else IntensityKind.SCALED
     meta = ScanMeta(scanner_id="synthetic", intensity_kind=kind)
-    dataset = ScanDataset(tuple(observations), meta)
-    return dataset, GroundTruth(tuple(truth_ticks), tuple(sorted(outlier_indices)))
+    dataset = ScanDataset(*(np.concatenate(c) for c in zip(*columns)), meta)
+    outliers = np.sort(np.concatenate(outlier_blocks)) if outlier_blocks else np.empty(0, np.int64)
+    return dataset, GroundTruth(tuple(truth_ticks), tuple(outliers.tolist()))
 
 
 # ---- CSV interface -----------------------------------------------------------

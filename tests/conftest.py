@@ -3,13 +3,24 @@
 import numpy as np
 import pytest
 
-from rangevar.ingest import IntensityKind, PolarObservation, ScanDataset, ScanMeta
+from rangevar.ingest import IntensityKind, ScanDataset, ScanMeta
 
 
 def make_dataset(rows, kind=IntensityKind.RAW):
     """Dataset from (profile, vertical, horizontal, range, intensity) tuples."""
-    obs = tuple(PolarObservation(*row) for row in rows)
-    return ScanDataset(obs, ScanMeta(scanner_id="test", intensity_kind=kind))
+    columns = list(zip(*rows)) or [()] * 5
+    return ScanDataset(*columns, ScanMeta(scanner_id="test", intensity_kind=kind))
+
+
+def dataset_rows(ds):
+    """The dataset's rows as (profile, vertical, horizontal, range, intensity) tuples."""
+    return list(zip(
+        ds.profile.tolist(),
+        ds.vertical_angle.tolist(),
+        ds.horizontal_angle.tolist(),
+        ds.range.tolist(),
+        ds.intensity.tolist(),
+    ))
 
 
 def ladder_dataset(angle_values, ranges_per_angle, intensities_per_angle, profiles):

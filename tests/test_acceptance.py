@@ -321,8 +321,8 @@ def test_criterion_09_vcm_structure_and_coverage():
     from rangevar.simulate import TICK_STEP
 
     first_row_of_tick: dict[int, int] = {}
-    for i, obs in enumerate(ds.observations):
-        first_row_of_tick.setdefault(int(round(obs.vertical_angle / TICK_STEP)) - 1, i)
+    for i, angle in enumerate(ds.vertical_angle.tolist()):
+        first_row_of_tick.setdefault(int(round(angle / TICK_STEP)) - 1, i)
     stats = preprocess(ds, PreprocessConfig(max_passes=0, min_tick_count=2))
     within = 0
     for s in stats:

@@ -15,7 +15,7 @@ import pytest
 
 import rangevar
 from rangevar import calibrate, fit, ingest, preprocess
-from rangevar.cli import run
+from rangevar.cli import _write_atomic, run
 
 SIM_CONFIG = """\
 # three-level synthetic wall
@@ -230,6 +230,35 @@ def test_pipeline_reruns_byte_identical(sim_cfg, tmp_path):
              "curve.csv", "evaluation.csv"]
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_write_atomic_uses_its_own_temporary_file(sim_cfg, tmp_path):
+    # A directory squatting on the old fixed temporary name "<name>.tmp"
+    # (or another run's temporary file) must not break the write.
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    assert run(["simulate", "--config", str(sim_cfg), "--out", str(ref)]) == 0
+    (out / "scan.csv.tmp").mkdir(parents=True)
+    assert run(["simulate", "--config", str(sim_cfg), "--out", str(out)]) == 0
+    assert (out / "scan.csv").read_bytes() == (ref / "scan.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["ground_truth.csv", "scan.csv", "scan.csv.tmp"]
+
+
+def test_write_atomic_gives_open_mode_and_cleans_up(tmp_path, monkeypatch):
+    umask = os.umask(0o022)
+    try:
+        _write_atomic(tmp_path / "a.csv", "x\n")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "a.csv").stat().st_mode & 0o777 == 0o644
+    assert (tmp_path / "a.csv").read_bytes() == b"x\n"
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        _write_atomic(tmp_path / "b.csv", "y\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
 
 
 def test_sim_config_parse_errors(tmp_path):

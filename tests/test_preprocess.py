@@ -118,7 +118,7 @@ def test_jittered_angles_group_like_nearest_center(rng):
     # brute-force oracle: every observation must land in the group whose
     # center is nearest to its angle
     centers = [g.vertical_angle_center for g in groups]
-    angles = [o.vertical_angle for o in ds.observations]
+    angles = ds.vertical_angle.tolist()
     nearest = ref_nearest_center_assignment(angles, centers)
     for gi, g in enumerate(groups):
         member_angles = [a for a, n in zip(angles, nearest) if n == gi]

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from _reference import ref_simulate_rows
+from conftest import dataset_rows
 from rangevar.errors import InvalidConfig, NonPositiveRange
 from rangevar.ingest import IntensityKind
 from rangevar.simulate import (
@@ -122,8 +124,8 @@ def test_profile_major_emission_within_board():
     ds, _ = simulate_profiles(
         SimulationConfig(1e7, (Board(0.5, 10.0, 0.0, 2, 3),), TRUTH, seed=1)
     )
-    angles = [o.vertical_angle for o in ds.observations]
-    profiles = [o.profile_index for o in ds.observations]
+    angles = ds.vertical_angle.tolist()
+    profiles = ds.profile.tolist()
     a1, a2 = TICK_STEP, 2 * TICK_STEP
     assert angles == pytest.approx([a1, a2, a1, a2, a1, a2])
     assert profiles == [0, 0, 1, 1, 2, 2]
@@ -145,7 +147,7 @@ def test_truth_matches_radar_equation_and_model():
 def test_ranges_distributed_around_board_distance():
     cfg = SimulationConfig(1e7, (Board(0.5, 10.0, 0.0, 1, 4000),), TRUTH, seed=3)
     ds, truth = simulate_profiles(cfg)
-    r = np.array([o.range for o in ds.observations])
+    r = ds.range
     sigma_m = truth.ticks[0].true_sigma_mm / 1000.0
     assert abs(r.mean() - 10.0) < 5 * sigma_m / math.sqrt(len(r))
     assert r.std(ddof=1) == pytest.approx(sigma_m, rel=0.15)
@@ -156,14 +158,28 @@ def test_ranges_distributed_around_board_distance():
 def test_bit_identical_for_identical_configs():
     d1, t1 = simulate_profiles(config())
     d2, t2 = simulate_profiles(config())
-    assert d1 == d2
+    assert dataset_rows(d1) == dataset_rows(d2)
+    assert (d1.meta, d1.skipped_rows) == (d2.meta, d2.skipped_rows)
     assert t1 == t2
+
+
+@pytest.mark.parametrize("scaling", [None, InverseSquareScaling(10.0), CustomMonotoneScaling([1.0, 1e7], [0.1, 100.0])])
+def test_columns_match_row_by_row_reference(scaling):
+    cfg = config(
+        scaling=scaling,
+        outlier_injection=OutlierInjection(fraction=0.05, magnitude_sigma=8.0),
+        seed=2024,
+    )
+    ds, truth = simulate_profiles(cfg)
+    rows, outliers = ref_simulate_rows(cfg)
+    assert dataset_rows(ds) == rows
+    assert list(truth.outlier_indices) == outliers
 
 
 def test_seed_changes_draws():
     d1, _ = simulate_profiles(config(seed=7))
     d2, _ = simulate_profiles(config(seed=8))
-    assert d1 != d2
+    assert dataset_rows(d1) != dataset_rows(d2)
 
 
 def test_prepending_a_board_leaves_later_board_draws_alone():
@@ -171,12 +187,12 @@ def test_prepending_a_board_leaves_later_board_draws_alone():
     # must not change another board's noise
     solo = SimulationConfig(1e7, (Board(0.9, 25.0, 0.3, 3, 40),), TRUTH, seed=7)
     d_solo, _ = simulate_profiles(solo)
-    ranges_solo = sorted(o.range for o in d_solo.observations)
+    ranges_solo = sorted(d_solo.range.tolist())
     # same board in second position within the default config
     d_pair, _ = simulate_profiles(config())
     # n.b. spawn order: child 0 feeds board 0; board at index 1 gets a
     # different child stream than when it sits at index 0
-    pair_second = sorted(o.range for o in d_pair.observations[100:])
+    pair_second = sorted(d_pair.range[100:].tolist())
     assert len(pair_second) == len(ranges_solo) == 120
     assert ranges_solo != pair_second
 
@@ -187,8 +203,8 @@ def test_raw_records_true_intensity():
     ds, truth = simulate_profiles(config(scaling=None))
     assert ds.meta.intensity_kind is IntensityKind.RAW
     by_angle = {t.vertical_angle: t.true_intensity for t in truth.ticks}
-    for o in ds.observations:
-        assert o.intensity == by_angle[o.vertical_angle]
+    for angle, intensity in zip(ds.vertical_angle.tolist(), ds.intensity.tolist()):
+        assert intensity == by_angle[angle]
 
 
 def test_inverse_square_is_exactly_invertible_per_tick():
@@ -197,9 +213,11 @@ def test_inverse_square_is_exactly_invertible_per_tick():
     assert ds.meta.intensity_kind is IntensityKind.SCALED
     per_tick_ranges: dict[float, list[float]] = {}
     per_tick_recorded: dict[float, float] = {}
-    for o in ds.observations:
-        per_tick_ranges.setdefault(o.vertical_angle, []).append(o.range)
-        per_tick_recorded[o.vertical_angle] = o.intensity
+    for angle, r, intensity in zip(
+        ds.vertical_angle.tolist(), ds.range.tolist(), ds.intensity.tolist()
+    ):
+        per_tick_ranges.setdefault(angle, []).append(r)
+        per_tick_recorded[angle] = intensity
     for t in truth.ticks:
         mean_r = np.mean(per_tick_ranges[t.vertical_angle])
         back = per_tick_recorded[t.vertical_angle] * r_ref / mean_r**2
@@ -222,7 +240,7 @@ def test_custom_monotone_preserves_intensity_order():
     )
     ds, truth = simulate_profiles(cfg)
     assert ds.meta.intensity_kind is IntensityKind.SCALED
-    rec_by_angle = {o.vertical_angle: o.intensity for o in ds.observations}
+    rec_by_angle = dict(zip(ds.vertical_angle.tolist(), ds.intensity.tolist()))
     ordered = sorted(truth.ticks, key=lambda t: t.true_intensity)
     recorded = [rec_by_angle[t.vertical_angle] for t in ordered]
     assert recorded == sorted(recorded)
@@ -244,8 +262,8 @@ def test_injection_count_and_indices():
     assert list(truth.outlier_indices) == sorted(set(truth.outlier_indices))
     sigma_m = truth.ticks[0].true_sigma_mm / 1000.0
     flagged = set(truth.outlier_indices)
-    for i, o in enumerate(ds.observations):
-        dev = abs(o.range - 10.0)
+    for i, r in enumerate(ds.range.tolist()):
+        dev = abs(r - 10.0)
         if i in flagged:
             assert dev > 5 * sigma_m
         else:
