@@ -9,12 +9,7 @@ scans with known truth for end-to-end verification (simulate). The cli
 module wires everything into subcommands.
 """
 
-from .calibrate import (
-    CalibratedTickStats,
-    CalibrationConfig,
-    calibrate_intensity,
-    calibrate_ticks,
-)
+from .calibrate import CalibrationConfig, calibrate_intensity, calibrate_ticks
 from .errors import RangevarError
 from .evaluate import (
     AngularSigmas,
@@ -76,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularSigmas",
     "Board",
-    "CalibratedTickStats",
     "CalibrationConfig",
     "CustomMonotoneScaling",
     "EvaluationReport",

@@ -13,21 +13,22 @@ the output carries units of intensity per meter); a squared r_ref would
 be unit-free, but the transform as defined is what the rest of the
 pipeline inverts and expects.
 
-Raw-intensity datasets never pass through this module.
+A calibrated tick is a TickStats with calibrated_intensity set; the tick
+table codec in preprocess writes and reads that column. Raw-intensity
+datasets never pass through this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import NonPositiveRange
-from .preprocess import TickStats
+from .preprocess import TickStats, read_tick_stats_csv, tick_stats_to_csv
 
-CALIBRATED_HEADER = (
-    "tick_id,vertical_angle_center,mean_intensity,mean_range_m,std_range_mm,count,"
-    "calibrated_intensity"
-)
+# The tick table has one codec; these names read and write calibrated tables.
+calibrated_ticks_to_csv = tick_stats_to_csv
+read_calibrated_ticks_csv = read_tick_stats_csv
 
 
 @dataclass(frozen=True)
@@ -41,19 +42,6 @@ class CalibrationConfig:
             raise ValueError(f"r_ref must be positive and finite, got {self.r_ref!r}")
 
 
-@dataclass(frozen=True)
-class CalibratedTickStats:
-    """TickStats plus the calibrated intensity; everything else unchanged."""
-
-    tick_id: int
-    vertical_angle_center: float  # rad
-    mean_intensity: float         # as recorded (scaled)
-    mean_range: float             # m
-    std_range: float              # mm
-    count: int
-    calibrated_intensity: float
-
-
 def calibrate_intensity(mean_intensity: float, mean_range: float, cfg: CalibrationConfig) -> float:
     """Map one mean scaled intensity to the reference range."""
     if not mean_range > 0:
@@ -61,12 +49,12 @@ def calibrate_intensity(mean_intensity: float, mean_range: float, cfg: Calibrati
     return mean_intensity * cfg.r_ref / mean_range**2
 
 
-def calibrate_ticks(stats: list[TickStats], cfg: CalibrationConfig) -> list[CalibratedTickStats]:
-    """Calibrate every tick's mean intensity, preserving order.
+def calibrate_ticks(stats: list[TickStats], cfg: CalibrationConfig) -> list[TickStats]:
+    """Set every tick's calibrated_intensity, preserving order.
 
-    std_range, count, and tick identity are passed through untouched.
+    All other fields are passed through untouched.
     """
-    out: list[CalibratedTickStats] = []
+    out: list[TickStats] = []
     for s in stats:
         try:
             calibrated = calibrate_intensity(s.mean_intensity, s.mean_range, cfg)
@@ -74,51 +62,5 @@ def calibrate_ticks(stats: list[TickStats], cfg: CalibrationConfig) -> list[Cali
             raise NonPositiveRange(
                 f"tick {s.tick_id}: mean_range must be > 0, got {s.mean_range!r}"
             ) from None
-        out.append(
-            CalibratedTickStats(
-                tick_id=s.tick_id,
-                vertical_angle_center=s.vertical_angle_center,
-                mean_intensity=s.mean_intensity,
-                mean_range=s.mean_range,
-                std_range=s.std_range,
-                count=s.count,
-                calibrated_intensity=calibrated,
-            )
-        )
-    return out
-
-
-def calibrated_ticks_to_csv(stats: list[CalibratedTickStats]) -> str:
-    """TickStats CSV plus a calibrated_intensity column."""
-    lines = [CALIBRATED_HEADER]
-    for s in stats:
-        lines.append(
-            f"{s.tick_id},{s.vertical_angle_center!r},{s.mean_intensity!r},"
-            f"{s.mean_range!r},{s.std_range!r},{s.count},{s.calibrated_intensity!r}"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def read_calibrated_ticks_csv(text: str) -> list[CalibratedTickStats]:
-    """Parse the calibrated_ticks_to_csv format."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CALIBRATED_HEADER:
-        raise ValueError("not a calibrated tick CSV (bad or missing header)")
-    out = []
-    for ln in lines[1:]:
-        f = ln.split(",")
-        if len(f) != 7:
-            raise ValueError(f"expected 7 fields, got {len(f)}: {ln!r}")
-        out.append(
-            CalibratedTickStats(
-                tick_id=int(f[0]),
-                vertical_angle_center=float(f[1]),
-                mean_intensity=float(f[2]),
-                mean_range=float(f[3]),
-                std_range=float(f[4]),
-                count=int(f[5]),
-                calibrated_intensity=float(f[6]),
-            )
-        )
+        out.append(replace(s, calibrated_intensity=calibrated))
     return out

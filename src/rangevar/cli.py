@@ -4,6 +4,10 @@ Subcommands: simulate | validate | preprocess | calibrate | fit |
 evaluate | compare | vcm | pipeline. Exit codes: 0 success, 1 domain
 error (bad data, degenerate fit, missing file), 2 usage error.
 
+Each stage (simulate, preprocess, calibrate, fit, evaluate, vcm) is one
+helper that writes its artifacts and prints its line; the subcommands
+and pipeline are compositions of these helpers.
+
 All machine-readable outputs land under --out and are written atomically
 (write to a temporary file, then rename). Identical inputs and flags
 produce byte-identical outputs; nothing timestamped or random enters a
@@ -39,7 +43,7 @@ from . import calibrate as calibrate_mod
 from . import evaluate as evaluate_mod
 from . import fit as fit_mod
 from . import ingest, preprocess, simulate
-from .errors import InvalidConfig, RangevarError
+from .errors import InvalidConfig, RangevarError, decode_utf8
 
 CURVE_HEADER = "intensity,predicted_std_mm"
 CURVE_POINTS = 256
@@ -66,9 +70,8 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _read_text(path: Path) -> str:
-    with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
+def _read_text(path: str) -> str:
+    return decode_utf8(Path(path).read_bytes())
 
 
 def _curve_csv(model: fit_mod.RangeVarianceModel) -> str:
@@ -152,6 +155,11 @@ def read_sim_config(text: str) -> simulate.SimulationConfig:
         ),
         seed=int(values.get("seed", "0")),
     )
+
+
+def _sim_config(path: str, seed: int | None) -> simulate.SimulationConfig:
+    cfg = read_sim_config(_read_text(path))
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
 # ---- argument parsing ----------------------------------------------------------
@@ -265,21 +273,87 @@ def _preprocess_config(args) -> preprocess.PreprocessConfig:
         raise _UsageError(str(exc)) from None
 
 
-# ---- subcommand handlers ---------------------------------------------------------
+# ---- stages: each writes its artifacts under out and prints its line ------------
 
 
-def _cmd_simulate(args) -> int:
-    cfg = read_sim_config(_read_text(Path(args.config)))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+def _simulate(cfg: simulate.SimulationConfig, out: Path) -> ingest.ScanDataset:
     ds, truth = simulate.simulate_profiles(cfg)
-    out = Path(args.out)
     _write_atomic(out / "scan.csv", ingest.serialize_dataset(ds))
     _write_atomic(out / "ground_truth.csv", simulate.ground_truth_to_csv(truth))
     print(
         f"simulated {len(ds)} observations over {len(truth.ticks)} ticks "
         f"({ds.meta.intensity_kind.value} intensities) -> {out}"
     )
+    return ds
+
+
+def _preprocess(ds: ingest.ScanDataset, cfg: preprocess.PreprocessConfig, out: Path) -> list:
+    stats = preprocess.preprocess(ds, cfg)
+    _write_atomic(out / "ticks.csv", preprocess.tick_stats_to_csv(stats))
+    removed = len(ds) - sum(s.count for s in stats)
+    print(f"{len(stats)} ticks kept, {removed} observations screened or under threshold -> {out / 'ticks.csv'}")
+    return stats
+
+
+def _calibrate(stats: list, r_ref: float | None, out: Path) -> list:
+    if r_ref is None:
+        r_ref = float(np.mean([s.mean_range for s in stats]))
+        print(f"r_ref = {r_ref!r} m (mean of tick mean ranges)")
+    else:
+        print(f"r_ref = {r_ref!r} m")
+    calibrated = calibrate_mod.calibrate_ticks(stats, calibrate_mod.CalibrationConfig(r_ref))
+    _write_atomic(out / "ticks_calibrated.csv", preprocess.tick_stats_to_csv(calibrated))
+    print(f"{len(calibrated)} ticks calibrated -> {out / 'ticks_calibrated.csv'}")
+    return calibrated
+
+
+def _fit(ticks: list, args, kind: ingest.IntensityKind, out: Path) -> fit_mod.RangeVarianceModel:
+    """Kind CALIBRATED fits the calibrated intensities, any other the recorded ones."""
+    opts = fit_mod.FitOptions(
+        max_iterations=args.max_iterations,
+        weights=tuple(float(t.count) for t in ticks) if args.weight_by_count else None,
+        intensity_kind=kind,
+    )
+    if kind is ingest.IntensityKind.CALIBRATED:
+        report = fit_mod.fit_general_model(ticks, opts)
+    else:
+        report = fit_mod.fit_model([(t.mean_intensity, t.std_range) for t in ticks], opts)
+    m = report.model
+    _write_atomic(out / "model.json", fit_mod.fit_report_to_json(report))
+    _write_atomic(out / "curve.csv", _curve_csv(m))
+    print(
+        f"a = {m.a:.6g}, b = {m.b:.6g}, c = {m.c:.6g} mm "
+        f"({m.intensity_kind.value} intensities)"
+    )
+    print(
+        f"converged = {report.converged} after {report.iterations} iterations, "
+        f"cost = {report.final_cost:.6g} mm^2, "
+        f"domain = [{m.intensity_domain[0]:.6g}, {m.intensity_domain[1]:.6g}]"
+    )
+    return m
+
+
+def _evaluate(model: fit_mod.RangeVarianceModel, ticks: list, out: Path) -> None:
+    report = evaluate_mod.evaluate_against_ticks(model, ticks)
+    _write_atomic(out / "evaluation.csv", evaluate_mod.evaluation_report_to_csv(report))
+    print(
+        f"rmse = {report.rmse:.6g} mm, max |residual| = {report.max_abs_residual:.6g} mm, "
+        f"{report.extrapolated_count} extrapolated ticks"
+    )
+
+
+def _vcm(ds: ingest.ScanDataset, model: fit_mod.RangeVarianceModel, args, out: Path) -> None:
+    ang = evaluate_mod.AngularSigmas(args.sigma_vertical, args.sigma_horizontal)
+    blocks = evaluate_mod.build_vcm(ds, model, ang)
+    _write_atomic(out / "vcm.csv", evaluate_mod.vcm_to_csv(blocks))
+    print(f"{len(blocks)} blocks -> {out / 'vcm.csv'}")
+
+
+# ---- subcommand handlers ---------------------------------------------------------
+
+
+def _cmd_simulate(args) -> int:
+    _simulate(_sim_config(args.config, args.seed), Path(args.out))
     return 0
 
 
@@ -298,101 +372,37 @@ def _cmd_validate(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     cfg = _preprocess_config(args)
-    ds = ingest.parse_profile_csv(Path(args.input))
-    stats = preprocess.preprocess(ds, cfg)
-    out = Path(args.out)
-    _write_atomic(out / "ticks.csv", preprocess.tick_stats_to_csv(stats))
-    removed = len(ds) - sum(s.count for s in stats)
-    print(f"{len(stats)} ticks kept, {removed} observations screened or under threshold -> {out / 'ticks.csv'}")
+    _preprocess(ingest.parse_profile_csv(Path(args.input)), cfg, Path(args.out))
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    stats = preprocess.read_tick_stats_csv(_read_text(Path(args.input)))
-    r_ref = args.r_ref
-    if r_ref is None:
-        r_ref = float(np.mean([s.mean_range for s in stats]))
-        print(f"r_ref = {r_ref!r} m (mean of tick mean ranges)")
-    else:
-        print(f"r_ref = {r_ref!r} m")
-    calibrated = calibrate_mod.calibrate_ticks(stats, calibrate_mod.CalibrationConfig(r_ref))
-    out = Path(args.out)
-    _write_atomic(out / "ticks_calibrated.csv", calibrate_mod.calibrated_ticks_to_csv(calibrated))
-    print(f"{len(calibrated)} ticks calibrated -> {out / 'ticks_calibrated.csv'}")
+    stats = preprocess.read_tick_stats_csv(_read_text(args.input))
+    _calibrate(stats, args.r_ref, Path(args.out))
     return 0
 
 
-def _fit_options(args, counts: list[int] | None) -> fit_mod.FitOptions:
-    weights = None
-    if args.weight_by_count:
-        if counts is None:
-            raise _UsageError("--weight-by-count needs tick statistics input")
-        weights = tuple(float(c) for c in counts)
-    return fit_mod.FitOptions(max_iterations=args.max_iterations, weights=weights)
-
-
-def _print_fit(report: fit_mod.FitReport) -> None:
-    m = report.model
-    print(
-        f"a = {m.a:.6g}, b = {m.b:.6g}, c = {m.c:.6g} mm "
-        f"({m.intensity_kind.value} intensities)"
-    )
-    print(
-        f"converged = {report.converged} after {report.iterations} iterations, "
-        f"cost = {report.final_cost:.6g} mm^2, "
-        f"domain = [{m.intensity_domain[0]:.6g}, {m.intensity_domain[1]:.6g}]"
-    )
-
-
 def _cmd_fit(args) -> int:
-    text = _read_text(Path(args.input))
-    first_line = text.splitlines()[0].strip() if text.splitlines() else ""
-    out = Path(args.out)
-    if args.use_calibrated:
-        if first_line != calibrate_mod.CALIBRATED_HEADER:
-            raise _UsageError("--use-calibrated needs a calibrated tick CSV as --input")
-        ticks = calibrate_mod.read_calibrated_ticks_csv(text)
-        opts = _fit_options(args, [t.count for t in ticks])
-        report = fit_mod.fit_general_model(ticks, opts)
-    else:
-        if first_line == calibrate_mod.CALIBRATED_HEADER:
-            ticks = calibrate_mod.read_calibrated_ticks_csv(text)
-        else:
-            ticks = preprocess.read_tick_stats_csv(text)
-        kind = ingest.IntensityKind(args.intensity_kind)
-        opts = _fit_options(args, [t.count for t in ticks])
-        opts = fit_mod.FitOptions(
-            max_iterations=opts.max_iterations, weights=opts.weights, intensity_kind=kind
-        )
-        report = fit_mod.fit_model([(t.mean_intensity, t.std_range) for t in ticks], opts)
-    _write_atomic(out / "model.json", fit_mod.fit_report_to_json(report))
-    _write_atomic(out / "curve.csv", _curve_csv(report.model))
-    _print_fit(report)
+    ticks = preprocess.read_tick_stats_csv(_read_text(args.input))
+    if args.use_calibrated and not all(t.calibrated_intensity is not None for t in ticks):
+        raise _UsageError("--use-calibrated needs a calibrated tick CSV as --input")
+    kind = ingest.IntensityKind("calibrated" if args.use_calibrated else args.intensity_kind)
+    _fit(ticks, args, kind, Path(args.out))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    report_model = fit_mod.read_fit_report_json(_read_text(Path(args.model)))
-    text = _read_text(Path(args.ticks))
-    first_line = text.splitlines()[0].strip() if text.splitlines() else ""
-    if first_line == calibrate_mod.CALIBRATED_HEADER:
-        ticks = calibrate_mod.read_calibrated_ticks_csv(text)
-    else:
-        ticks = preprocess.read_tick_stats_csv(text)
-    report = evaluate_mod.evaluate_against_ticks(report_model.model, ticks)
+    model = fit_mod.read_fit_report_json(_read_text(args.model)).model
+    ticks = preprocess.read_tick_stats_csv(_read_text(args.ticks))
     out = Path(args.out)
-    _write_atomic(out / "evaluation.csv", evaluate_mod.evaluation_report_to_csv(report))
-    _write_atomic(out / "curve.csv", _curve_csv(report_model.model))
-    print(
-        f"rmse = {report.rmse:.6g} mm, max |residual| = {report.max_abs_residual:.6g} mm, "
-        f"{report.extrapolated_count} extrapolated ticks"
-    )
+    _evaluate(model, ticks, out)
+    _write_atomic(out / "curve.csv", _curve_csv(model))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    m1 = fit_mod.read_fit_report_json(_read_text(Path(args.model1))).model
-    m2 = fit_mod.read_fit_report_json(_read_text(Path(args.model2))).model
+    m1 = fit_mod.read_fit_report_json(_read_text(args.model1)).model
+    m2 = fit_mod.read_fit_report_json(_read_text(args.model2)).model
     if not (0 < args.grid_min < args.grid_max):
         raise _UsageError("--grid-min and --grid-max must satisfy 0 < min < max")
     if args.grid_points < 2:
@@ -407,12 +417,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_vcm(args) -> int:
     ds = ingest.parse_profile_csv(Path(args.input))
-    model = fit_mod.read_fit_report_json(_read_text(Path(args.model))).model
-    ang = evaluate_mod.AngularSigmas(args.sigma_vertical, args.sigma_horizontal)
-    blocks = evaluate_mod.build_vcm(ds, model, ang)
-    out = Path(args.out)
-    _write_atomic(out / "vcm.csv", evaluate_mod.vcm_to_csv(blocks))
-    print(f"{len(blocks)} blocks -> {out / 'vcm.csv'}")
+    model = fit_mod.read_fit_report_json(_read_text(args.model)).model
+    _vcm(ds, model, args, Path(args.out))
     return 0
 
 
@@ -420,54 +426,22 @@ def _cmd_pipeline(args) -> int:
     if (args.sigma_vertical is None) != (args.sigma_horizontal is None):
         raise _UsageError("--sigma-vertical and --sigma-horizontal must be given together")
     pre_cfg = _preprocess_config(args)
-
-    cfg = read_sim_config(_read_text(Path(args.simulate)))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _sim_config(args.simulate, args.seed)
     out = Path(args.out)
 
-    ds, truth = simulate.simulate_profiles(cfg)
-    _write_atomic(out / "scan.csv", ingest.serialize_dataset(ds))
-    _write_atomic(out / "ground_truth.csv", simulate.ground_truth_to_csv(truth))
-    print(f"simulated {len(ds)} observations over {len(truth.ticks)} ticks")
-
-    stats = preprocess.preprocess(ds, pre_cfg)
-    _write_atomic(out / "ticks.csv", preprocess.tick_stats_to_csv(stats))
-    print(f"preprocessed to {len(stats)} ticks")
-
-    opts = fit_mod.FitOptions(
-        max_iterations=args.max_iterations,
-        weights=tuple(float(s.count) for s in stats) if args.weight_by_count else None,
-    )
-    if ds.meta.intensity_kind is ingest.IntensityKind.SCALED:
+    ds = _simulate(cfg, out)
+    ticks = _preprocess(ds, pre_cfg, out)
+    kind = ds.meta.intensity_kind
+    if kind is ingest.IntensityKind.SCALED:
         r_ref = args.r_ref
         if r_ref is None and isinstance(cfg.scaling, simulate.InverseSquareScaling):
             r_ref = cfg.scaling.r_ref
-        if r_ref is None:
-            r_ref = float(np.mean([s.mean_range for s in stats]))
-        print(f"r_ref = {r_ref!r} m")
-        calibrated = calibrate_mod.calibrate_ticks(stats, calibrate_mod.CalibrationConfig(r_ref))
-        _write_atomic(out / "ticks_calibrated.csv", calibrate_mod.calibrated_ticks_to_csv(calibrated))
-        report = fit_mod.fit_general_model(calibrated, opts)
-        eval_ticks: list = calibrated
-    else:
-        report = fit_mod.fit_model([(s.mean_intensity, s.std_range) for s in stats], opts)
-        eval_ticks = stats
-    _write_atomic(out / "model.json", fit_mod.fit_report_to_json(report))
-    _write_atomic(out / "curve.csv", _curve_csv(report.model))
-    _print_fit(report)
-
-    evaluation = evaluate_mod.evaluate_against_ticks(report.model, eval_ticks)
-    _write_atomic(out / "evaluation.csv", evaluate_mod.evaluation_report_to_csv(evaluation))
-    print(
-        f"rmse = {evaluation.rmse:.6g} mm, max |residual| = {evaluation.max_abs_residual:.6g} mm"
-    )
-
+        ticks = _calibrate(ticks, r_ref, out)
+        kind = ingest.IntensityKind.CALIBRATED
+    model = _fit(ticks, args, kind, out)
+    _evaluate(model, ticks, out)
     if args.sigma_vertical is not None:
-        ang = evaluate_mod.AngularSigmas(args.sigma_vertical, args.sigma_horizontal)
-        blocks = evaluate_mod.build_vcm(ds, report.model, ang)
-        _write_atomic(out / "vcm.csv", evaluate_mod.vcm_to_csv(blocks))
-        print(f"{len(blocks)} vcm blocks")
+        _vcm(ds, model, args, out)
     return 0
 
 

@@ -21,6 +21,23 @@ class MalformedRow(RangevarError):
         super().__init__(f"line {line_number}: {reason}")
 
 
+def decode_utf8(data: bytes) -> str:
+    """UTF-8 text without one leading byte-order mark.
+
+    An undecodable byte raises MalformedRow on its 1-based line, counted
+    as str.splitlines counts lines.
+    """
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Everything before exc.start decodes.
+        line_number = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise MalformedRow(
+            line_number, f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+
+
 class MissingColumn(RangevarError):
     """The header is missing a required column."""
 

@@ -8,12 +8,10 @@ their observed intensity span.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import CalibratedTickStats
 from .errors import EmptyGrid, EmptyStats, NonPositiveIntensity
 from .fit import RangeVarianceModel, evaluate_model
 from .ingest import IntensityKind, ScanDataset
@@ -96,19 +94,17 @@ def max_abs_residual(residuals) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def _tick_intensity(m: RangeVarianceModel, tick) -> float:
-    if m.intensity_kind is IntensityKind.CALIBRATED:
-        if not isinstance(tick, CalibratedTickStats):
-            raise ValueError(
-                f"tick {tick.tick_id}: a calibrated model needs CalibratedTickStats"
-            )
-        return tick.calibrated_intensity
-    return tick.mean_intensity
+def _report(ids, intensity, observed, predicted: np.ndarray, inside: np.ndarray) -> EvaluationReport:
+    """Rows of predicted minus observed; intensity and observed are Python floats."""
+    residual = predicted - np.asarray(observed, dtype=float)
+    rows = tuple(map(
+        ResidualRow, ids, intensity, observed,
+        map(float, predicted), map(float, residual), map(bool, ~inside),
+    ))
+    return EvaluationReport(rows, rmse(residual), max_abs_residual(residual))
 
 
-def evaluate_against_ticks(
-    m: RangeVarianceModel, stats: list[TickStats] | list[CalibratedTickStats]
-) -> EvaluationReport:
+def evaluate_against_ticks(m: RangeVarianceModel, stats: list[TickStats]) -> EvaluationReport:
     """Model-vs-observation residuals over tick statistics.
 
     Calibrated models are evaluated at calibrated intensities, all others
@@ -117,25 +113,20 @@ def evaluate_against_ticks(
     """
     if not stats:
         raise EmptyStats("no tick statistics to evaluate against")
+    calibrated = m.intensity_kind is IntensityKind.CALIBRATED
+    intensity = [t.calibrated_intensity if calibrated else t.mean_intensity for t in stats]
+    if None in intensity:
+        tick = stats[intensity.index(None)]
+        raise ValueError(f"tick {tick.tick_id}: a calibrated model needs calibrated ticks")
+    arr = np.array(intensity, dtype=float)
+    bad = np.flatnonzero(~(arr > 0))
+    if bad.size:
+        raise NonPositiveIntensity(f"tick {stats[bad[0]].tick_id}: intensity {intensity[bad[0]]!r}")
     lo, hi = m.intensity_domain
-    rows = []
-    for tick in stats:
-        intensity = _tick_intensity(m, tick)
-        if intensity <= 0:
-            raise NonPositiveIntensity(f"tick {tick.tick_id}: intensity {intensity!r}")
-        predicted = evaluate_model(m, intensity)
-        rows.append(
-            ResidualRow(
-                tick_id=tick.tick_id,
-                intensity=intensity,
-                observed_std=tick.std_range,
-                predicted_std=predicted,
-                residual=predicted - tick.std_range,
-                extrapolated=not lo <= intensity <= hi,
-            )
-        )
-    res = [r.residual for r in rows]
-    return EvaluationReport(tuple(rows), rmse(res), max_abs_residual(res))
+    return _report(
+        [t.tick_id for t in stats], intensity, [t.std_range for t in stats],
+        evaluate_model(m, arr), (lo <= arr) & (arr <= hi),
+    )
 
 
 def compare_models(
@@ -152,26 +143,12 @@ def compare_models(
         raise EmptyGrid("empty intensity grid")
     if np.any(arr <= 0):
         raise NonPositiveIntensity("grid intensities must be > 0")
-    rows = []
-    for i, intensity in enumerate(arr):
-        v1 = evaluate_model(m1, float(intensity))
-        v2 = evaluate_model(m2, float(intensity))
-        inside = (
-            m1.intensity_domain[0] <= intensity <= m1.intensity_domain[1]
-            and m2.intensity_domain[0] <= intensity <= m2.intensity_domain[1]
-        )
-        rows.append(
-            ResidualRow(
-                tick_id=i,
-                intensity=float(intensity),
-                observed_std=v2,
-                predicted_std=v1,
-                residual=v1 - v2,
-                extrapolated=not inside,
-            )
-        )
-    res = [r.residual for r in rows]
-    return EvaluationReport(tuple(rows), rmse(res), max_abs_residual(res))
+    (lo1, hi1), (lo2, hi2) = m1.intensity_domain, m2.intensity_domain
+    inside = (lo1 <= arr) & (arr <= hi1) & (lo2 <= arr) & (arr <= hi2)
+    return _report(
+        range(arr.size), arr.tolist(), evaluate_model(m2, arr).tolist(),
+        evaluate_model(m1, arr), inside,
+    )
 
 
 def build_vcm(ds: ScanDataset, m: RangeVarianceModel, ang: AngularSigmas) -> VcmBlocks:

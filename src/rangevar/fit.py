@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibrate import CalibratedTickStats
 from .errors import (
     DomainViolation,
     NonPositiveIntensity,
@@ -33,6 +32,7 @@ from .errors import (
     TooFewPoints,
 )
 from .ingest import IntensityKind
+from .preprocess import TickStats
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,8 @@ def model_jacobian(a: float, b: float, c: float, intensities) -> np.ndarray:
 
 def _as_points(points) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(points, dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise TooFewPoints("points must be (intensity, std_range) pairs")
     return arr[:, 0].copy(), arr[:, 1].copy()
@@ -280,14 +282,16 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
     )
 
 
-def fit_general_model(calibrated: list[CalibratedTickStats], opts: FitOptions = FitOptions()) -> FitReport:
+def fit_general_model(calibrated: list[TickStats], opts: FitOptions = FitOptions()) -> FitReport:
     """Fit one model across distances using calibrated intensities.
 
     Consumes the calibrated_intensity as abscissa; the result is tagged
-    IntensityKind.CALIBRATED regardless of opts.intensity_kind.
+    IntensityKind.CALIBRATED regardless of opts.intensity_kind. A tick
+    without a calibrated_intensity raises ValueError.
     """
-    if len(calibrated) < 3:
-        raise TooFewPoints(f"need >= 3 calibrated ticks, got {len(calibrated)}")
+    for t in calibrated:
+        if t.calibrated_intensity is None:
+            raise ValueError(f"tick {t.tick_id}: no calibrated_intensity; calibrate the ticks first")
     points = [(t.calibrated_intensity, t.std_range) for t in calibrated]
     return fit_model(points, replace(opts, intensity_kind=IntensityKind.CALIBRATED))
 

@@ -2,8 +2,9 @@
 
 File format
 -----------
-UTF-8 text, LF or CRLF line endings. Optional leading directive lines of
-the form ``#key=value`` carry dataset metadata:
+UTF-8 text (one leading byte-order mark is ignored), LF or CRLF line
+endings. Optional leading directive lines of the form ``#key=value``
+carry dataset metadata:
 
     #scanner=<free text>
     #rate_khz=<float>
@@ -51,6 +52,7 @@ from .errors import (
     MalformedRow,
     MissingColumn,
     NonFiniteValue,
+    decode_utf8,
 )
 
 _COLUMNS = ("profile", "vertical_angle", "horizontal_angle", "range", "intensity")
@@ -156,18 +158,6 @@ class ValidationReport:
         return len(self.violations)
 
 
-def _decode(data: bytes) -> str:
-    """UTF-8 text; an undecodable byte is a MalformedRow on its line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # Everything before exc.start decodes; count lines as the parser does.
-        line_number = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise MalformedRow(
-            line_number, f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
-        ) from None
-
-
 def _read_text(source) -> str:
     """Accept a path, bytes, str, or file-like object and return text.
 
@@ -175,15 +165,15 @@ def _read_text(source) -> str:
     since a dataset needs a header line plus at least one row.
     """
     if isinstance(source, bytes):
-        return _decode(source)
+        return decode_utf8(source)
     if isinstance(source, str) and ("\n" in source or "\r" in source):
         return source
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            return _decode(fh.read())
+            return decode_utf8(fh.read())
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         data = source.read()
-        return _decode(data) if isinstance(data, bytes) else data
+        return decode_utf8(data) if isinstance(data, bytes) else data
     raise TypeError(f"unsupported source type: {type(source).__name__}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTicks, NoSurvivingTicks, TooFewValues
+from .errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
 from .ingest import ScanDataset
 
 # A boolean array aligned with a TickGroup's members; True = exclude.
@@ -86,14 +86,19 @@ class TickGroup:
 
 @dataclass(frozen=True)
 class TickStats:
-    """Reduced statistics of one surviving tick."""
+    """Reduced statistics of one surviving tick.
+
+    calibrated_intensity is None until calibrate.calibrate_ticks maps
+    the mean (scaled) intensity to a reference range.
+    """
 
     tick_id: int
     vertical_angle_center: float  # rad
-    mean_intensity: float         # dimensionless
+    mean_intensity: float         # dimensionless, as recorded
     mean_range: float             # m
     std_range: float              # mm (the only mm conversion in the pipeline)
     count: int
+    calibrated_intensity: float | None = None
 
 
 def std_about_mean(values) -> float:
@@ -227,38 +232,56 @@ def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> l
 # ---- CSV interface -----------------------------------------------------------
 
 TICK_STATS_HEADER = "tick_id,vertical_angle_center,mean_intensity,mean_range_m,std_range_mm,count"
+CALIBRATED_HEADER = TICK_STATS_HEADER + ",calibrated_intensity"
 
 
 def tick_stats_to_csv(stats: list[TickStats]) -> str:
-    """Render TickStats rows as CSV with round-trip float formatting."""
-    lines = [TICK_STATS_HEADER]
+    """Render TickStats rows as CSV with round-trip float formatting.
+
+    Calibrated ticks add the calibrated_intensity column. A table is
+    calibrated throughout or not at all, so a mixed list is refused.
+    """
+    calibrated = sum(s.calibrated_intensity is not None for s in stats)
+    if 0 < calibrated < len(stats):
+        raise ValueError(
+            f"{calibrated} of {len(stats)} ticks are calibrated; a tick table needs all or none"
+        )
+    lines = [CALIBRATED_HEADER if calibrated else TICK_STATS_HEADER]
     for s in stats:
-        lines.append(
+        line = (
             f"{s.tick_id},{s.vertical_angle_center!r},{s.mean_intensity!r},"
             f"{s.mean_range!r},{s.std_range!r},{s.count}"
         )
+        lines.append(f"{line},{s.calibrated_intensity!r}" if calibrated else line)
     lines.append("")
     return "\n".join(lines)
 
 
 def read_tick_stats_csv(text: str) -> list[TickStats]:
-    """Parse the tick_stats_to_csv format back into TickStats rows."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != TICK_STATS_HEADER:
-        raise ValueError("not a tick statistics CSV (bad or missing header)")
+    """Parse the tick_stats_to_csv format back into TickStats rows.
+
+    The header chooses the layout, with or without calibrated_intensity.
+    Blank lines are skipped. A bad header, field count or number raises
+    MalformedRow naming its 1-based line.
+    """
+    numbered = ((n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1))
+    lines = ((n, ln) for n, ln in numbered if ln)
+    header_line, header = next(lines, (1, ""))
+    if header not in (TICK_STATS_HEADER, CALIBRATED_HEADER):
+        raise MalformedRow(header_line, "not a tick statistics CSV (bad or missing header)")
+    width = header.count(",") + 1
     stats = []
-    for ln in lines[1:]:
+    for n, ln in lines:
         f = ln.split(",")
-        if len(f) != 6:
-            raise ValueError(f"expected 6 fields, got {len(f)}: {ln!r}")
-        stats.append(
-            TickStats(
-                tick_id=int(f[0]),
-                vertical_angle_center=float(f[1]),
-                mean_intensity=float(f[2]),
-                mean_range=float(f[3]),
-                std_range=float(f[4]),
-                count=int(f[5]),
+        if len(f) != width:
+            raise MalformedRow(n, f"expected {width} fields, got {len(f)}")
+        try:
+            stats.append(
+                TickStats(
+                    int(f[0]), float(f[1]), float(f[2]), float(f[3]), float(f[4]), int(f[5]),
+                    float(f[6]) if width == 7 else None,
+                )
             )
-        )
+        except ValueError as exc:
+            raise MalformedRow(n, str(exc)) from None
     return stats

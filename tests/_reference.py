@@ -49,6 +49,31 @@ def ref_max_abs(residuals):
     return max(abs(r) for r in residuals)
 
 
+def ref_tick_residual_rows(m, ticks, evaluate_model):
+    """Residual rows as (tick_id, intensity, observed, predicted, residual,
+    extrapolated), one scalar evaluate_model call per tick."""
+    calibrated = m.intensity_kind.value == "calibrated"
+    lo, hi = m.intensity_domain
+    rows = []
+    for t in ticks:
+        x = t.calibrated_intensity if calibrated else t.mean_intensity
+        predicted = evaluate_model(m, x)
+        rows.append((t.tick_id, x, t.std_range, predicted, predicted - t.std_range,
+                     not lo <= x <= hi))
+    return rows
+
+
+def ref_comparison_rows(m1, m2, grid, evaluate_model):
+    """compare_models rows, one scalar evaluate_model call per model and point."""
+    rows = []
+    for i, x in enumerate(grid):
+        v1, v2 = evaluate_model(m1, x), evaluate_model(m2, x)
+        inside = (m1.intensity_domain[0] <= x <= m1.intensity_domain[1]
+                  and m2.intensity_domain[0] <= x <= m2.intensity_domain[1])
+        rows.append((i, x, v2, v1, v1 - v2, not inside))
+    return rows
+
+
 def ref_outlier_mask(ranges, intensities, k):
     """Direct evaluation of the dual mean/median rule on both channels."""
     n = len(ranges)

@@ -115,6 +115,44 @@ def test_degenerate_inputs_exit_one(tmp_path):
     assert run(["fit", "--input", str(bad), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("calibrated_header", [False, True])
+@pytest.mark.parametrize("use_calibrated", [False, True])
+def test_header_only_tick_table_has_too_few_points(tmp_path, capsys, calibrated_header,
+                                                   use_calibrated):
+    header = preprocess.CALIBRATED_HEADER if calibrated_header else preprocess.TICK_STATS_HEADER
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(header + "\n")
+    flags = ["--use-calibrated"] if use_calibrated else []
+    assert run(["fit", "--input", str(ticks), "--out", str(tmp_path / "o"), *flags]) == 1
+    assert "need >= 3 points, got 0" in capsys.readouterr().err
+
+
+def test_inputs_ignore_a_byte_order_mark_and_name_a_bad_byte_line(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    config = SIM_CONFIG.split("\n", 1)[1].encode()  # starts with "seed = 11"
+    for out, prefix in ((plain, b""), (marked, bom)):
+        out.mkdir()
+        (out / "sim.cfg").write_bytes(prefix + config)
+        assert run(["simulate", "--config", str(out / "sim.cfg"), "--out", str(out)]) == 0
+        run(["preprocess", "--input", str(out / "scan.csv"), "--out", str(out)])
+        ticks = out / "ticks.csv"
+        ticks.write_bytes(prefix + ticks.read_bytes())
+        assert run(["fit", "--input", str(ticks), "--out", str(out)]) == 0
+        model = out / "model.json"
+        model.write_bytes(prefix + model.read_bytes())
+        assert run(["evaluate", "--model", str(model), "--ticks", str(ticks), "--out", str(out)]) == 0
+    for name in ("scan.csv", "evaluation.csv", "curve.csv"):
+        assert (plain / name).read_bytes() == (marked / name).read_bytes(), name
+
+    head, rest = (plain / "ticks.csv").read_bytes().split(b"\n", 1)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(head + b"\n0\xff" + rest)
+    capsys.readouterr()
+    assert run(["fit", "--input", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "line 2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
@@ -230,6 +268,46 @@ def test_pipeline_reruns_byte_identical(sim_cfg, tmp_path):
              "curve.csv", "evaluation.csv"]
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("config", [SIM_CONFIG, SCALED_CONFIG], ids=["raw", "scaled"])
+def test_pipeline_composes_the_subcommands(tmp_path, capsys, config):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(config)
+    scaled = config is SCALED_CONFIG
+    sigmas = ["--sigma-vertical", "1e-5", "--sigma-horizontal", "2e-5"]
+    piped, chained = tmp_path / "pipeline", tmp_path / "chain"
+    capsys.readouterr()
+    assert run(["pipeline", "--simulate", str(cfg), "--out", str(piped),
+                "--weight-by-count", "--max-passes", "3", *sigmas]) == 0
+    piped_stdout = capsys.readouterr().out
+
+    ticks = chained / "ticks.csv"
+    steps = [
+        ["simulate", "--config", str(cfg), "--out", str(chained)],
+        ["preprocess", "--input", str(chained / "scan.csv"), "--out", str(chained),
+         "--max-passes", "3"],
+    ]
+    if scaled:
+        steps.append(["calibrate", "--input", str(ticks), "--out", str(chained), "--r-ref", "10"])
+        ticks = chained / "ticks_calibrated.csv"
+    steps += [
+        ["fit", "--input", str(ticks), "--out", str(chained), "--weight-by-count",
+         *(["--use-calibrated"] if scaled else [])],
+        ["evaluate", "--model", str(chained / "model.json"), "--ticks", str(ticks),
+         "--out", str(chained)],
+        ["vcm", "--input", str(chained / "scan.csv"), "--model", str(chained / "model.json"),
+         *sigmas, "--out", str(chained)],
+    ]
+    for argv in steps:
+        assert run(argv) == 0, argv[0]
+    assert piped_stdout.replace(str(piped), str(chained)) == capsys.readouterr().out
+
+    names = sorted(p.name for p in piped.iterdir())
+    assert names == sorted(p.name for p in chained.iterdir())
+    assert ("ticks_calibrated.csv" in names) is scaled
+    for name in names:
+        assert (piped / name).read_bytes() == (chained / name).read_bytes(), name
 
 
 def test_write_atomic_uses_its_own_temporary_file(sim_cfg, tmp_path):

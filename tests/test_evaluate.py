@@ -1,12 +1,14 @@
 """Residual metrics, model comparison grids, and VCM blocks."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
-from rangevar.calibrate import CalibratedTickStats
 from rangevar.errors import EmptyGrid, EmptyStats, NonPositiveIntensity
 from rangevar.evaluate import (
     AngularSigmas,
@@ -24,7 +26,7 @@ from rangevar.fit import RangeVarianceModel, evaluate_model
 from rangevar.ingest import IntensityKind
 from rangevar.preprocess import TickStats
 
-from _reference import ref_max_abs, ref_rmse
+from _reference import ref_comparison_rows, ref_max_abs, ref_rmse, ref_tick_residual_rows
 
 
 def model(a, b, c, domain=(1.0, 1e6), kind=IntensityKind.RAW):
@@ -108,10 +110,41 @@ def test_calibrated_model_requires_calibrated_ticks():
 def test_calibrated_model_reads_calibrated_abscissa():
     m = model(1.0, -1.0, 0.0, kind=IntensityKind.CALIBRATED)
     # raw mean intensity would predict 1/100; calibrated must win
-    ct = CalibratedTickStats(0, 0.001, 100.0, 10.0, 0.5, 50, 2.0)
+    ct = TickStats(0, 0.001, 100.0, 10.0, 0.5, 50, calibrated_intensity=2.0)
     rep = evaluate_against_ticks(m, [ct])
     assert rep.residuals[0].intensity == 2.0
     assert rep.residuals[0].predicted_std == pytest.approx(0.5)
+
+
+def _rows(report):
+    rows = [astuple(r) for r in report.residuals]
+    assert all(type(v) in (int, float, bool) for row in rows for v in row)
+    return rows
+
+
+PARAMS = st.tuples(
+    st.floats(1e-3, 1e5), st.floats(-3.0, 1.0), st.floats(0.0, 1.0),
+    st.floats(1e-2, 1e3), st.floats(2.0, 1e4),
+)
+INTENSITIES = st.lists(st.floats(1e-3, 1e7), min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PARAMS, PARAMS, INTENSITIES, st.booleans())
+def test_rows_match_per_point_reference(p1, p2, intensities, calibrated):
+    kind = IntensityKind.CALIBRATED if calibrated else IntensityKind.RAW
+    m1 = model(*p1[:3], domain=(p1[3], p1[3] * p1[4]), kind=kind)
+    m2 = model(*p2[:3], domain=(p2[3], p2[3] * p2[4]))
+    intensities = intensities + [*m1.intensity_domain, *m2.intensity_domain]
+    ticks = [
+        TickStats(i, 0.001, x if not calibrated else 7.0, 10.0, 0.25 * (i % 7), 50,
+                  calibrated_intensity=x if calibrated else None)
+        for i, x in enumerate(intensities)
+    ]
+    assert _rows(evaluate_against_ticks(m1, ticks)) == ref_tick_residual_rows(
+        m1, ticks, evaluate_model)
+    assert _rows(compare_models(m1, m2, intensities)) == ref_comparison_rows(
+        m1, m2, intensities, evaluate_model)
 
 
 def test_empty_tick_list_rejected():

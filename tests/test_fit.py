@@ -1,6 +1,7 @@
 """Model evaluation, starting values, and the damped least-squares fit."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,8 @@ def test_domain_recorded_from_data():
 def test_two_points_rejected():
     with pytest.raises(TooFewPoints):
         fit_model([(1e3, 1.0), (1e4, 0.5)])
+    with pytest.raises(TooFewPoints, match="need >= 3 points, got 0"):
+        fit_model([])
 
 
 def test_three_duplicated_intensities_rejected():
@@ -279,10 +282,10 @@ def test_stddevs_finite_and_positive_with_redundancy():
 
 
 def test_general_fit_tags_calibrated_kind():
-    from rangevar.calibrate import CalibratedTickStats
+    from rangevar.preprocess import TickStats
 
     ticks = [
-        CalibratedTickStats(i, 0.001 * (i + 1), 100.0, 10.0, s, 50, ci)
+        TickStats(i, 0.001 * (i + 1), 100.0, 10.0, s, 50, calibrated_intensity=ci)
         for i, (ci, s) in enumerate(
             (float(I), REF.a * float(I) ** REF.b + REF.c)
             for I in np.geomspace(1e3, 1e5, 8)
@@ -293,6 +296,11 @@ def test_general_fit_tags_calibrated_kind():
     assert rep.model.b == pytest.approx(REF.b, rel=1e-8)
     with pytest.raises(TooFewPoints):
         fit_general_model(ticks[:2])
+    with pytest.raises(TooFewPoints, match="need >= 3 points, got 0"):
+        fit_general_model([])
+    uncalibrated = ticks[:5] + [replace(ticks[5], calibrated_intensity=None)] + ticks[6:]
+    with pytest.raises(ValueError, match="tick 5: no calibrated_intensity"):
+        fit_general_model(uncalibrated)
 
 
 # ---- JSON interface ----------------------------------------------------------

@@ -280,6 +280,22 @@ def test_undecodable_byte_is_a_malformed_row_on_its_line(tmp_path):
     assert err.value.line_number == 1
 
 
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    for text in (WELL_FORMED, f"{HEADER}\n0,0.001,0.0,10.0,1.0\n"):
+        plain = parse_profile_csv(text.encode())
+        path = tmp_path / "scan.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for source in (path, path.read_bytes()):
+            ds = parse_profile_csv(source)
+            assert ds.meta == plain.meta
+            for name in COLUMNS:
+                assert getattr(ds, name).tobytes() == getattr(plain, name).tobytes()
+    bad = f"{HEADER}\n0,0.001,0.0,10.\xff0,1.0\n".encode("latin-1")
+    with pytest.raises(MalformedRow) as err:
+        parse_profile_csv(b"\xef\xbb\xbf" + bad)
+    assert err.value.line_number == 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(

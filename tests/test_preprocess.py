@@ -14,8 +14,10 @@ from _reference import (
     ref_std_about_median,
 )
 from conftest import ladder_dataset, make_dataset
-from rangevar.errors import DegenerateTicks, NoSurvivingTicks, TooFewValues
+from rangevar.errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
 from rangevar.preprocess import (
+    CALIBRATED_HEADER,
+    TICK_STATS_HEADER,
     PreprocessConfig,
     TickGroup,
     TickMode,
@@ -335,3 +337,37 @@ def test_tick_stats_csv_round_trip():
     ]
     back = read_tick_stats_csv(tick_stats_to_csv(stats))
     assert back == stats
+
+
+def test_tick_table_is_calibrated_throughout_or_not_at_all():
+    plain = TickStats(0, 0.001, 1500.0, 10.0, 1.5, 300)
+    calibrated = TickStats(1, 0.002, 800.5, 25.0, 3.5, 450, calibrated_intensity=12.8)
+    assert tick_stats_to_csv([]) == TICK_STATS_HEADER + "\n"
+    assert tick_stats_to_csv([calibrated]).startswith(CALIBRATED_HEADER + "\n")
+    assert read_tick_stats_csv(tick_stats_to_csv([calibrated])) == [calibrated]
+    with pytest.raises(ValueError, match="1 of 2 ticks are calibrated"):
+        tick_stats_to_csv([plain, calibrated])
+
+
+ROW = "0,0.001,1500.0,10.0,1.5,300"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),
+        ("\n\ntick_id,mean_intensity\n" + ROW + "\n", 3),
+        (f"{TICK_STATS_HEADER}\n{ROW}\n0,0.002,800.0,25.0\n", 3),
+        (f"{TICK_STATS_HEADER}\n{ROW},12.5\n", 2),
+        (f"{CALIBRATED_HEADER}\n{ROW}\n", 2),
+        (f"{TICK_STATS_HEADER}\n\n\n0,0.001,1500.0,10.0,abc,300\n", 4),
+        (f"{TICK_STATS_HEADER}\n{ROW}\n1,0.002,800.0,25.0,3.5,4.5\n", 3),
+        (f"{CALIBRATED_HEADER}\n{ROW},1e\n", 2),
+    ],
+    ids=["empty", "header", "short", "long", "calibrated-short", "float", "int", "calibrated"],
+)
+def test_tick_table_errors_name_their_line(text, line):
+    with pytest.raises(MalformedRow) as err:
+        read_tick_stats_csv(text)
+    assert err.value.line_number == line
+    assert str(err.value).startswith(f"line {line}: ")
