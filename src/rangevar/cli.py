@@ -43,7 +43,7 @@ from . import calibrate as calibrate_mod
 from . import evaluate as evaluate_mod
 from . import fit as fit_mod
 from . import ingest, preprocess, simulate
-from .errors import InvalidConfig, RangevarError, decode_utf8
+from .errors import EmptyStats, InvalidConfig, RangevarError, decode_utf8
 
 CURVE_HEADER = "intensity,predicted_std_mm"
 CURVE_POINTS = 256
@@ -378,6 +378,8 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     stats = preprocess.read_tick_stats_csv(_read_text(args.input))
+    if not stats:
+        raise EmptyStats(f"{args.input}: the tick table has no ticks")
     _calibrate(stats, args.r_ref, Path(args.out))
     return 0
 

@@ -101,7 +101,11 @@ class DomainViolation(RangevarError):
 
 
 class EmptyStats(RangevarError):
-    """An evaluation was requested against an empty tick list."""
+    """An evaluation or a calibration was requested on an empty tick list."""
+
+
+class MalformedFitReport(RangevarError):
+    """A fit report record lacks a key or holds a value of the wrong type."""
 
 
 class EmptyGrid(RangevarError):

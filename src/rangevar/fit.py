@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DomainViolation,
+    MalformedFitReport,
     NonPositiveIntensity,
     RankDeficient,
     TooFewPoints,
@@ -318,24 +319,65 @@ def fit_report_to_json(report: FitReport) -> str:
     return json.dumps(record, indent=2) + "\n"
 
 
+def _number(value) -> float:
+    if type(value) not in (int, float):  # a JSON true is no number
+        raise TypeError("not a JSON number")
+    return float(value)
+
+
+def _exactly(kind):
+    def convert(value):
+        if type(value) is not kind:
+            raise TypeError(f"not a JSON {kind.__name__}")
+        return value
+    return convert
+
+
+def _domain(value) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError("not a [min, max] pair")
+    return _number(value[0]), _number(value[1])
+
+
+def _field(record: dict, path: str, convert=_number):
+    """The value at the last key of a dotted path, through convert.
+
+    A missing key, or a value that convert refuses, raises
+    MalformedFitReport naming the path.
+    """
+    key = path.rpartition(".")[2]
+    if key not in record:
+        raise MalformedFitReport(f"fit report: missing key {path!r}")
+    try:
+        return convert(record[key])
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedFitReport(f"fit report: bad value for {path!r}: {record[key]!r}") from None
+
+
 def read_fit_report_json(text: str) -> FitReport:
-    """Parse the fit_report_to_json record."""
+    """Parse the fit_report_to_json record.
+
+    A record that is no JSON object, lacks a key or holds a value of the
+    wrong type raises MalformedFitReport naming the key.
+    """
     record = json.loads(text)
-    m = record["model"]
+    if not isinstance(record, dict):
+        raise MalformedFitReport("fit report: the record is not a JSON object")
+    m = _field(record, "model", _exactly(dict))
     model = RangeVarianceModel(
-        a=float(m["a_mm_per_unit_pow_b"]),
-        b=float(m["b"]),
-        c=float(m["c_mm"]),
-        intensity_domain=(float(m["intensity_domain"][0]), float(m["intensity_domain"][1])),
-        intensity_kind=IntensityKind(m["intensity_kind"]),
+        a=_field(m, "model.a_mm_per_unit_pow_b"),
+        b=_field(m, "model.b"),
+        c=_field(m, "model.c_mm"),
+        intensity_domain=_field(m, "model.intensity_domain", _domain),
+        intensity_kind=_field(m, "model.intensity_kind", IntensityKind),
     )
-    stddevs = tuple(
-        math.nan if s is None else float(s) for s in record["parameter_stddevs"]
+    stddevs = _field(
+        record, "parameter_stddevs", lambda v: tuple(math.nan if s is None else _number(s) for s in v)
     )
     return FitReport(
         model=model,
-        iterations=int(record["iterations"]),
-        final_cost=float(record["final_cost_mm2"]),
-        converged=bool(record["converged"]),
+        iterations=_field(record, "iterations", _exactly(int)),
+        final_cost=_field(record, "final_cost_mm2"),
+        converged=_field(record, "converged", _exactly(bool)),
         parameter_stddevs=stddevs,
     )

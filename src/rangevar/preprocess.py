@@ -13,6 +13,12 @@ times the standard deviation about the median. Comparisons are strict,
 so constant channels never flag. Statistics are frozen per pass: all
 flags of one pass are computed from the same statistics, then flagged
 members are removed together.
+
+All ticks of a pass are screened together, and the survivors reduced
+together, as (ticks, members) matrices of equal-length ticks with one
+row-wise numpy reduction per statistic. A contiguous row reduces with
+the same pairwise summation as the 1-D call, so every value is
+bit-identical to computing its tick alone.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from .ingest import ScanDataset
 
 # A boolean array aligned with a TickGroup's members; True = exclude.
 OutlierMask = np.ndarray
+
+# Members stacked into one (ticks, members) block at most, so that a pass
+# over a few large ticks never holds one matrix of every member at once.
+BLOCK_MEMBERS = 65_536
 
 
 class TickMode(enum.Enum):
@@ -101,12 +111,22 @@ class TickStats:
     calibrated_intensity: float | None = None
 
 
-def std_about_mean(values) -> float:
-    """Sample standard deviation about the mean, n-1 divisor."""
-    arr = np.asarray(values, dtype=float)
+def _spread(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Row-wise standard deviation of a (rows, n) block about per-row centers, n-1 divisor."""
+    return np.sqrt(np.sum((values - centers[:, None]) ** 2, axis=1) / (values.shape[1] - 1))
+
+
+def _one_row(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float).reshape(1, -1)
     if arr.size < 2:
         raise TooFewValues(f"need >= 2 values, got {arr.size}")
-    return float(np.sqrt(np.sum((arr - arr.mean()) ** 2) / (arr.size - 1)))
+    return arr
+
+
+def std_about_mean(values) -> float:
+    """Sample standard deviation about the mean, n-1 divisor."""
+    arr = _one_row(values)
+    return float(_spread(arr, arr.mean(axis=1))[0])
 
 
 def std_about_median(values) -> float:
@@ -115,10 +135,8 @@ def std_about_median(values) -> float:
     The median of an even-length list is the midpoint of the two central
     order statistics.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise TooFewValues(f"need >= 2 values, got {arr.size}")
-    return float(np.sqrt(np.sum((arr - np.median(arr)) ** 2) / (arr.size - 1)))
+    arr = _one_row(values)
+    return float(_spread(arr, np.median(arr, axis=1))[0])
 
 
 def _estimate_step(angles: np.ndarray) -> float:
@@ -151,81 +169,115 @@ def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> list[TickG
         distinct_keys, inverse = np.unique(keys, return_inverse=True)
         centers = distinct_keys * step
 
-    groups: list[TickGroup] = []
     order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(len(centers) + 1))
-    for tick_id in range(len(centers)):
-        members = order[boundaries[tick_id]:boundaries[tick_id + 1]]
-        groups.append(
-            TickGroup(
-                tick_id=tick_id,
-                vertical_angle_center=float(centers[tick_id]),
-                ranges=ranges[members],
-                intensities=intensities[members],
-            )
+    boundaries = np.searchsorted(inverse[order], np.arange(len(centers) + 1)).tolist()
+    ranges, intensities = ranges[order], intensities[order]
+    ranges.flags.writeable = intensities.flags.writeable = False
+    return [
+        TickGroup(
+            tick_id=tick_id,
+            vertical_angle_center=float(centers[tick_id]),
+            ranges=ranges[lo:hi],
+            intensities=intensities[lo:hi],
         )
-    return groups
+        for tick_id, (lo, hi) in enumerate(zip(boundaries, boundaries[1:]))
+    ]
 
 
-def detect_outliers(group: TickGroup, cfg: PreprocessConfig) -> OutlierMask:
+def _blocks(groups: list[TickGroup]):
+    """Equal-length groups stacked into (rows, members) matrices.
+
+    Yields (positions in groups, ranges block, intensities block). A
+    block holds at most BLOCK_MEMBERS members, or one row when a single
+    group is longer.
+    """
+    by_length: dict[int, list[int]] = {}
+    for position, group in enumerate(groups):
+        by_length.setdefault(len(group), []).append(position)
+    for n, positions in by_length.items():
+        rows = max(1, BLOCK_MEMBERS // n)
+        for start in range(0, len(positions), rows):
+            chunk = positions[start:start + rows]
+            yield (
+                chunk,
+                np.stack([groups[p].ranges for p in chunk]),
+                np.stack([groups[p].intensities for p in chunk]),
+            )
+
+
+def detect_outliers(
+    groups: TickGroup | list[TickGroup], cfg: PreprocessConfig
+) -> OutlierMask | list[OutlierMask]:
     """Boolean mask of members to exclude, per the dual mean/median rule.
 
-    Flags on either channel (range or intensity) mark the member: a
-    corrupt return corrupts both uses of the tick.
+    Given one TickGroup, returns its mask; given a list, returns one mask
+    per group, in order, computed together from stacked equal-length
+    groups. Every group needs >= 2 members. Flags on either channel
+    (range or intensity) mark the member: a corrupt return corrupts both
+    uses of the tick.
     """
-    n = len(group)
-    if n < 2:
-        raise TooFewValues(f"tick {group.tick_id}: need >= 2 members, got {n}")
+    if isinstance(groups, TickGroup):
+        return detect_outliers([groups], cfg)[0]
+    for group in groups:
+        if len(group) < 2:
+            raise TooFewValues(f"tick {group.tick_id}: need >= 2 members, got {len(group)}")
     k = cfg.sigma_multiplier
-    mask = np.zeros(n, dtype=bool)
-    for values in (group.ranges, group.intensities):
-        dev_mean = np.abs(values - values.mean())
-        dev_median = np.abs(values - np.median(values))
-        mask |= dev_mean > k * std_about_mean(values)
-        mask |= dev_median > k * std_about_median(values)
-    return mask
+    masks: list[OutlierMask] = [None] * len(groups)
+    for positions, *channels in _blocks(groups):
+        flags = np.zeros(channels[0].shape, dtype=bool)
+        for values in channels:
+            mean = values.mean(axis=1)
+            median = np.median(values, axis=1)
+            flags |= np.abs(values - mean[:, None]) > k * _spread(values, mean)[:, None]
+            flags |= np.abs(values - median[:, None]) > k * _spread(values, median)[:, None]
+        for position, row in zip(positions, flags):
+            masks[position] = row
+    return masks
 
 
 def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> list[TickStats]:
     """Group, screen, filter, and reduce a dataset to per-tick statistics.
 
     Pipeline: group_by_vertical_tick -> max_passes rounds of
-    detect_outliers with batch removal (stopping early when a pass flags
-    nothing or fewer than 2 members remain) -> drop ticks with fewer than
+    detect_outliers with batch removal -> drop ticks with fewer than
     min_tick_count members -> TickStats with std_range in millimeters.
+    Each pass calls detect_outliers once, with the list of ticks still
+    being screened; a tick leaves that list when a pass flags nothing in
+    it or fewer than 2 members remain.
     """
-    stats: list[TickStats] = []
-    for group in group_by_vertical_tick(ds, cfg):
-        current = group
-        for _ in range(cfg.max_passes):
-            if len(current) < 2:
-                break
-            mask = detect_outliers(current, cfg)
-            if not mask.any():
-                break
-            keep = ~mask
-            current = TickGroup(
-                tick_id=current.tick_id,
-                vertical_angle_center=current.vertical_angle_center,
-                ranges=current.ranges[keep],
-                intensities=current.intensities[keep],
-            )
-        if len(current) < cfg.min_tick_count:
-            continue
-        stats.append(
-            TickStats(
-                tick_id=current.tick_id,
-                vertical_angle_center=current.vertical_angle_center,
-                mean_intensity=float(current.intensities.mean()),
-                mean_range=float(current.ranges.mean()),
-                std_range=std_about_mean(current.ranges) * 1000.0,
-                count=len(current),
-            )
-        )
-    if not stats:
+    groups = group_by_vertical_tick(ds, cfg)
+    active = [g for g in groups if len(g) >= 2]
+    for _ in range(cfg.max_passes):
+        if not active:
+            break
+        screened = []
+        for group, mask in zip(active, detect_outliers(active, cfg)):
+            if mask.any():
+                keep = ~mask
+                group = TickGroup(
+                    group.tick_id, group.vertical_angle_center,
+                    group.ranges[keep], group.intensities[keep],
+                )
+                groups[group.tick_id] = group
+                if len(group) >= 2:
+                    screened.append(group)
+        active = screened
+
+    kept = [g for g in groups if len(g) >= cfg.min_tick_count]
+    if not kept:
         raise NoSurvivingTicks(
             f"no tick kept >= {cfg.min_tick_count} members after screening"
         )
+    stats: list[TickStats] = [None] * len(kept)
+    for positions, ranges, intensities in _blocks(kept):
+        mean_range = ranges.mean(axis=1)
+        std_mm = _spread(ranges, mean_range) * 1000.0
+        rows = zip(positions, intensities.mean(axis=1).tolist(), mean_range.tolist(), std_mm.tolist())
+        for position, mean_intensity, mean_r, std_r in rows:
+            g = kept[position]
+            stats[position] = TickStats(
+                g.tick_id, g.vertical_angle_center, mean_intensity, mean_r, std_r, len(g)
+            )
     return stats
 
 

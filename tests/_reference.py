@@ -5,6 +5,12 @@ and plain Python loops, deliberately avoiding numpy reductions, so the
 library can be checked against a second, independent computation path.
 ref_parse_scan reads the scan CSV row by row from the rules stated in
 rangevar.ingest's module docstring, with no blocks and no numpy.
+
+ref_preprocess, like ref_simulate_rows, uses numpy: it is the per-tick loop that
+preprocess ran before ticks were screened and reduced together, numpy
+1-D calls included, so its TickStats are the bit-exact baseline the
+stacked code must reproduce. ref_outlier_mask checks the rule itself by
+the independent path.
 """
 
 import math
@@ -87,6 +93,63 @@ def ref_outlier_mask(ranges, intensities, k):
             if abs(v - mean) > k * s_mean or abs(v - med) > k * s_med:
                 mask[i] = True
     return mask
+
+
+def _ref_tick_mask(ranges, intensities, k):
+    """The dual rule on one tick with 1-D numpy reductions, as preprocess had it."""
+    import numpy as np
+
+    mask = np.zeros(len(ranges), dtype=bool)
+    for values in (ranges, intensities):
+        mean, median = values.mean(), np.median(values)
+        s_mean = float(np.sqrt(np.sum((values - mean) ** 2) / (values.size - 1)))
+        s_median = float(np.sqrt(np.sum((values - median) ** 2) / (values.size - 1)))
+        mask |= np.abs(values - mean) > k * s_mean
+        mask |= np.abs(values - median) > k * s_median
+    return mask
+
+
+def ref_preprocess(ds, cfg):
+    """preprocess tick by tick: group, screen each tick pass by pass, reduce.
+
+    Returns (stats, screened): screened[p] lists the tick ids that pass p
+    screened. A tick is screened until a pass flags nothing in it, fewer
+    than 2 members remain or max_passes is reached. Raises
+    NoSurvivingTicks (and the grouping errors) as preprocess does.
+    """
+    import numpy as np
+
+    from rangevar.errors import NoSurvivingTicks
+    from rangevar.preprocess import TickMode, TickStats, _estimate_step
+
+    angles = ds.vertical_angle
+    if cfg.tick_mode is TickMode.EXPLICIT_COLUMN:
+        centers, inverse = np.unique(angles, return_inverse=True)
+    else:
+        step = cfg.tick_step if cfg.tick_step is not None else _estimate_step(angles)
+        keys, inverse = np.unique(np.round(angles / step).astype(np.int64), return_inverse=True)
+        centers = keys * step
+    stats, screened = [], [[] for _ in range(cfg.max_passes)]
+    for tick_id, center in enumerate(centers.tolist()):
+        members = np.flatnonzero(inverse == tick_id)
+        ranges, intensities = ds.range[members], ds.intensity[members]
+        for done in screened:
+            if len(ranges) < 2:
+                break
+            done.append(tick_id)
+            mask = _ref_tick_mask(ranges, intensities, cfg.sigma_multiplier)
+            if not mask.any():
+                break
+            ranges, intensities = ranges[~mask], intensities[~mask]
+        n = len(ranges)
+        if n < cfg.min_tick_count:
+            continue
+        std = float(np.sqrt(np.sum((ranges - ranges.mean()) ** 2) / (n - 1)))
+        stats.append(TickStats(tick_id, center, float(intensities.mean()),
+                               float(ranges.mean()), std * 1000.0, n))
+    if not stats:
+        raise NoSurvivingTicks(f"no tick kept >= {cfg.min_tick_count} members after screening")
+    return stats, [done for done in screened if done]
 
 
 def ref_nearest_center_assignment(angles, centers):

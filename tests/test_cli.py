@@ -5,6 +5,7 @@ cheap to assert; one test exercises the console script declared in
 pyproject.toml, through the same wrapper an installer writes for it.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -125,6 +126,75 @@ def test_header_only_tick_table_has_too_few_points(tmp_path, capsys, calibrated_
     flags = ["--use-calibrated"] if use_calibrated else []
     assert run(["fit", "--input", str(ticks), "--out", str(tmp_path / "o"), *flags]) == 1
     assert "need >= 3 points, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r_ref", [[], ["--r-ref", "10"]], ids=["mean-range", "r-ref"])
+def test_calibrate_header_only_tick_table_names_the_empty_table(tmp_path, capsys, r_ref):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(preprocess.TICK_STATS_HEADER + "\n")
+    assert run(["calibrate", "--input", str(ticks), "--out", str(tmp_path / "o"), *r_ref]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {ticks}: the tick table has no ticks\n"
+    assert "RuntimeWarning" not in captured.err
+    assert captured.out == ""
+
+
+GOOD_MODEL = {
+    "a_mm_per_unit_pow_b": 29853.0, "b": -1.02, "c_mm": 0.08,
+    "intensity_domain": [100.0, 5000.0], "intensity_kind": "raw",
+}
+GOOD_REPORT = {
+    "model": GOOD_MODEL, "iterations": 7, "final_cost_mm2": 0.5, "converged": True,
+    "parameter_stddevs": [1.0, None, 0.01],
+}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({}, "missing key 'model'"),
+        ([], "the record is not a JSON object"),
+        ({**GOOD_REPORT, "model": []}, "bad value for 'model': []"),
+        ({**GOOD_REPORT, "model": {**GOOD_MODEL, "intensity_domain": [100.0]}},
+         "bad value for 'model.intensity_domain': [100.0]"),
+        ({**GOOD_REPORT, "model": {k: v for k, v in GOOD_MODEL.items() if k != "a_mm_per_unit_pow_b"}},
+         "missing key 'model.a_mm_per_unit_pow_b'"),
+        ({**GOOD_REPORT, "model": {**GOOD_MODEL, "b": "steep"}}, "bad value for 'model.b': 'steep'"),
+        ({**GOOD_REPORT, "model": {**GOOD_MODEL, "intensity_kind": "loud"}},
+         "bad value for 'model.intensity_kind': 'loud'"),
+        ({k: v for k, v in GOOD_REPORT.items() if k != "iterations"}, "missing key 'iterations'"),
+        ({**GOOD_REPORT, "parameter_stddevs": 3}, "bad value for 'parameter_stddevs': 3"),
+        ({**GOOD_REPORT, "converged": "false"}, "bad value for 'converged': 'false'"),
+        ({**GOOD_REPORT, "iterations": 7.5}, "bad value for 'iterations': 7.5"),
+        ({**GOOD_REPORT, "model": {**GOOD_MODEL, "c_mm": True}}, "bad value for 'model.c_mm': True"),
+    ],
+    ids=["empty-object", "array", "model-array", "short-domain", "missing-a", "string-b",
+         "bad-kind", "missing-iterations", "scalar-stddevs", "string-converged",
+         "float-iterations", "boolean-c"],
+)
+@pytest.mark.parametrize("command", ["evaluate", "compare", "vcm"])
+def test_malformed_model_record_exits_one_naming_the_key(tmp_path, capsys, record, message,
+                                                         command):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(GOOD_REPORT))
+    bad.write_text(json.dumps(record))
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(preprocess.TICK_STATS_HEADER + "\n0,0.001,1500.0,10.0,1.5,300\n")
+    scan = tmp_path / "scan.csv"
+    scan.write_text("profile,vertical_angle,horizontal_angle,range,intensity\n0,0.001,0.0,10.0,1500.0\n")
+    out = str(tmp_path / "o")
+    argv = {
+        "evaluate": ["evaluate", "--model", str(bad), "--ticks", str(ticks), "--out", out],
+        "compare": ["compare", "--model1", str(good), "--model2", str(bad),
+                    "--grid-min", "100", "--grid-max", "1000", "--out", out],
+        "vcm": ["vcm", "--input", str(scan), "--model", str(bad), "--sigma-vertical", "1e-4",
+                "--sigma-horizontal", "1e-4", "--out", out],
+    }[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: fit report: {message}\n"
+    # the well-formed record passes in the same place
+    argv[argv.index(str(bad))] = str(good)
+    assert run(argv) == 0
 
 
 def test_inputs_ignore_a_byte_order_mark_and_name_a_bad_byte_line(tmp_path, capsys):

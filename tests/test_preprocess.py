@@ -1,15 +1,19 @@
 """Tick grouping, the dual outlier rule, and per-tick statistics."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rangevar.preprocess as pp
 from _reference import (
     ref_nearest_center_assignment,
     ref_outlier_mask,
+    ref_preprocess,
     ref_std_about_mean,
     ref_std_about_median,
 )
@@ -158,6 +162,19 @@ def test_quantize_without_spread_or_step_degenerate():
     assert len(group_by_vertical_tick(ds, cfg)) == 1
 
 
+def test_grouped_arrays_are_read_only_and_leave_the_dataset_alone(rng):
+    rows = [(p, float(rng.choice([0.01, 0.02, 0.03])), 0.0, 10.0 + p, 100.0 - p) for p in range(50)]
+    ds = make_dataset(rows)
+    before = {name: getattr(ds, name).copy() for name in ("vertical_angle", "range", "intensity")}
+    groups = group_by_vertical_tick(ds, EXPLICIT)
+    for g in groups:
+        for values in (g.ranges, g.intensities):
+            with pytest.raises(ValueError):
+                values[0] = -1.0
+    for name, column in before.items():
+        assert np.array_equal(getattr(ds, name), column), name
+
+
 def test_partition_property(rng):
     rows = []
     for i in range(300):
@@ -244,6 +261,96 @@ def test_clean_gaussian_flag_fraction_bounded(rng):
 
 
 # ---- preprocess pipeline -------------------------------------------------------
+
+
+@st.composite
+def screening_cases(draw):
+    """A dataset with many ticks sharing member counts, and a config.
+
+    Values come from a drawn seed; the draws pick the structure: member
+    counts 1..70 from a few shared values, constant channels, spikes,
+    coarse rounding (ties at the median), a sigma multiplier small
+    enough to empty a tick, and min_tick_count at a tick's count.
+    """
+    shared = draw(st.lists(st.integers(1, 70), min_size=1, max_size=4))
+    counts = draw(st.lists(st.sampled_from(shared), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jitter = draw(st.sampled_from([None, 0.0, 0.3]))  # None: explicit column
+    rows = []
+    for tick, n in enumerate(counts):
+        ranges = np.full(n, 10.0 + tick)
+        if draw(st.booleans()):
+            ranges = ranges + rng.normal(0.0, 0.002, n)
+        intensities = np.full(n, 500.0)
+        if draw(st.booleans()):
+            intensities = intensities + rng.normal(0.0, 20.0, n)
+        for channel, size in ((ranges, 1.0), (intensities, 1e4)):
+            spikes = draw(st.integers(0, 3))
+            channel[rng.integers(0, n, spikes)] += size * rng.choice([-1.0, 1.0], spikes)
+        if draw(st.booleans()):
+            ranges, intensities = np.round(ranges, 3), np.round(intensities, 0)
+        angles = 0.001 * (tick + 1) + 0.001 * (jitter or 0.0) * rng.uniform(-1, 1, n)
+        rows += zip(rng.integers(0, 9, n).tolist(), angles.tolist(), [0.0] * n,
+                    ranges.tolist(), intensities.tolist())
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    cfg = PreprocessConfig(
+        sigma_multiplier=draw(st.sampled_from([0.5, 1.0, 1.5, 3.0])),
+        min_tick_count=max(2, draw(st.sampled_from(counts)) + draw(st.integers(-1, 1)))
+        if draw(st.booleans()) else 2,
+        tick_mode=TickMode.EXPLICIT_COLUMN if jitter is None else TickMode.QUANTIZE_BY_STEP,
+        tick_step=0.001 if jitter else None,
+        max_passes=draw(st.integers(0, 4)),
+    )
+    return make_dataset(rows), cfg, draw(st.sampled_from([40, 100, 65_536]))
+
+
+def typed_fields(stats):
+    return [[(type(v), v) for v in dataclasses.astuple(s)] for s in stats]
+
+
+@settings(max_examples=150, deadline=None)
+@given(screening_cases())
+def test_preprocess_equals_the_per_tick_reference(case):
+    ds, cfg, block_members = case
+    screened = []
+    screen = pp.detect_outliers
+
+    def spy(groups, cfg):
+        screened.append([g.tick_id for g in groups])
+        return screen(groups, cfg)
+
+    try:
+        expected, expected_screened = ref_preprocess(ds, cfg)
+    except (NoSurvivingTicks, DegenerateTicks) as exc:
+        with pytest.raises(type(exc)):
+            preprocess(ds, cfg)
+        return
+    with mock.patch.object(pp, "BLOCK_MEMBERS", block_members), \
+            mock.patch.object(pp, "detect_outliers", spy):
+        stats = preprocess(ds, cfg)
+        groups = [g for g in group_by_vertical_tick(ds, cfg) if len(g) >= 2]
+        together = screen(groups, cfg)
+    assert typed_fields(stats) == typed_fields(expected)
+    assert screened == expected_screened
+    assert len(together) == len(groups)
+    for g, mask in zip(groups, together):
+        assert np.array_equal(mask, screen(g, cfg)), g.tick_id
+
+
+def test_equal_length_ticks_span_several_blocks(rng):
+    # 65,536 members per block hold two of these ticks, so five take three blocks
+    n, ticks = 30_000, 5
+    ranges = rng.normal(10.0, 0.002, (ticks, n))
+    ranges[:, ::701] += 0.05
+    intensities = rng.normal(800.0, 30.0, (ticks, n))
+    ds = ladder_dataset(np.arange(1, ticks + 1) * 0.001, ranges, intensities, profiles=n)
+    assert len(list(pp._blocks(group_by_vertical_tick(ds, EXPLICIT)))) == 3
+    for passes in (1, 3):
+        cfg = dataclasses.replace(EXPLICIT, max_passes=passes)
+        stats = preprocess(ds, cfg)
+        expected, _ = ref_preprocess(ds, cfg)
+        assert typed_fields(stats) == typed_fields(expected)
+        assert all(s.count < n for s in stats)
 
 
 def test_min_tick_count_filters_and_raises_when_nothing_survives():
