@@ -16,9 +16,11 @@ members are removed together.
 
 All ticks of a pass are screened together, and the survivors reduced
 together, as (ticks, members) matrices of equal-length ticks with one
-row-wise numpy reduction per statistic. A contiguous row reduces with
-the same pairwise summation as the 1-D call, so every value is
-bit-identical to computing its tick alone.
+row-wise numpy reduction per statistic. On numpy 2.4.6 a contiguous row
+reduces with the same pairwise summation as the 1-D call, so every value
+is bit-identical to computing its tick alone; this rests on numpy's
+internals, and tests/test_preprocess.py checks it against the per-tick
+reference (test_preprocess_equals_the_per_tick_reference).
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ from .ingest import ScanDataset
 OutlierMask = np.ndarray
 
 # Members stacked into one (ticks, members) block at most, so that a pass
-# over a few large ticks never holds one matrix of every member at once.
+# never holds one matrix of every member at once. Peak RSS of one full-size
+# benchmark iteration, medians of 6 runs (BENCH_5.json, block_cap): per-tick
+# loop 196.3 MB on scan_files and 138.6 MB on many_ticks; this cap 196.5 and
+# 138.6 MB; one block per member count 223.0 and 140.7 MB.
 BLOCK_MEMBERS = 65_536
 
 
@@ -216,8 +221,9 @@ def detect_outliers(
     (range or intensity) mark the member: a corrupt return corrupts both
     uses of the tick.
     """
-    if isinstance(groups, TickGroup):
-        return detect_outliers([groups], cfg)[0]
+    single = isinstance(groups, TickGroup)
+    if single:
+        groups = [groups]
     for group in groups:
         if len(group) < 2:
             raise TooFewValues(f"tick {group.tick_id}: need >= 2 members, got {len(group)}")
@@ -232,7 +238,7 @@ def detect_outliers(
             flags |= np.abs(values - median[:, None]) > k * _spread(values, median)[:, None]
         for position, row in zip(positions, flags):
             masks[position] = row
-    return masks
+    return masks[0] if single else masks
 
 
 def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> list[TickStats]:

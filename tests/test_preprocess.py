@@ -337,6 +337,17 @@ def test_preprocess_equals_the_per_tick_reference(case):
         assert np.array_equal(mask, screen(g, cfg)), g.tick_id
 
 
+def test_one_group_is_screened_in_one_call():
+    # a tracer that wraps the module attribute must count one call, not two
+    screen = pp.detect_outliers
+    values = [1.0] * 30 + [100.0]
+    with mock.patch.object(pp, "detect_outliers", mock.Mock(side_effect=screen)) as wrapped:
+        mask = pp.detect_outliers(outlier_group(values), PreprocessConfig())
+    assert wrapped.call_count == 1
+    assert isinstance(mask, np.ndarray)
+    assert np.array_equal(mask, screen([outlier_group(values)], PreprocessConfig())[0])
+
+
 def test_equal_length_ticks_span_several_blocks(rng):
     # 65,536 members per block hold two of these ticks, so five take three blocks
     n, ticks = 30_000, 5
