@@ -44,6 +44,7 @@ from . import evaluate as evaluate_mod
 from . import fit as fit_mod
 from . import ingest, preprocess, simulate
 from .errors import EmptyStats, InvalidConfig, RangevarError, decode_utf8
+from .ingest import csv_text, parse_float, parse_int
 
 CURVE_HEADER = "intensity,predicted_std_mm"
 CURVE_POINTS = 256
@@ -77,17 +78,13 @@ def _read_text(path: str) -> str:
 def _curve_csv(model: fit_mod.RangeVarianceModel) -> str:
     lo, hi = model.intensity_domain
     grid = np.geomspace(lo, hi, CURVE_POINTS)
-    values = fit_mod.evaluate_model(model, grid)
-    lines = [CURVE_HEADER]
-    for intensity, value in zip(grid, values):
-        lines.append(f"{float(intensity)!r},{float(value)!r}")
-    lines.append("")
-    return "\n".join(lines)
+    return csv_text([CURVE_HEADER], [grid, fit_mod.evaluate_model(model, grid)])
 
 
 def read_sim_config(text: str) -> simulate.SimulationConfig:
-    """Parse the key-value simulate config format."""
+    """Parse the key-value simulate config; a bad number raises MalformedRow on its line."""
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     boards: list[simulate.Board] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,24 +102,25 @@ def read_sim_config(text: str) -> simulate.SimulationConfig:
                     f"config line {lineno}: board needs 5 fields "
                     "(reflectivity distance incidence ticks profiles)"
                 )
-            boards.append(
-                simulate.Board(
-                    reflectivity=float(parts[0]),
-                    distance=float(parts[1]),
-                    incidence_angle=float(parts[2]),
-                    tick_count=int(parts[3]),
-                    profile_count=int(parts[4]),
-                )
-            )
+            boards.append(simulate.Board(
+                *(parse_float(part, lineno, "board") for part in parts[:3]),
+                *(parse_int(part, lineno, "board") for part in parts[3:]),
+            ))
         else:
-            values[key] = value
+            values[key], line_of[key] = value, lineno
 
-    required = ("k_system", "truth_a", "truth_b", "truth_c")
-    for key in required:
-        if key not in values:
-            raise InvalidConfig(f"config is missing required key '{key}'")
     if not boards:
         raise InvalidConfig("config defines no boards")
+
+    def number(key: str, convert=parse_float, default=None):
+        if key in values:
+            return convert(values[key], line_of[key], key)
+        if default is None:
+            raise InvalidConfig(f"config is missing required key '{key}'")
+        return default
+
+    def table(key: str) -> list[float]:
+        return [parse_float(v, line_of[key], key) for v in values[key].split()]
 
     scaling_name = values.get("scaling", "none").lower()
     scaling: simulate.InverseSquareScaling | simulate.CustomMonotoneScaling | None
@@ -131,29 +129,26 @@ def read_sim_config(text: str) -> simulate.SimulationConfig:
     elif scaling_name == "inverse_square":
         if "r_ref" not in values:
             raise InvalidConfig("scaling = inverse_square requires r_ref")
-        scaling = simulate.InverseSquareScaling(float(values["r_ref"]))
+        scaling = simulate.InverseSquareScaling(number("r_ref"))
     elif scaling_name == "custom_monotone":
         if "scaling_true" not in values or "scaling_recorded" not in values:
             raise InvalidConfig(
                 "scaling = custom_monotone requires scaling_true and scaling_recorded"
             )
-        scaling = simulate.CustomMonotoneScaling(
-            [float(v) for v in values["scaling_true"].split()],
-            [float(v) for v in values["scaling_recorded"].split()],
-        )
+        scaling = simulate.CustomMonotoneScaling(table("scaling_true"), table("scaling_recorded"))
     else:
         raise InvalidConfig(f"unknown scaling '{scaling_name}'")
 
     return simulate.SimulationConfig(
-        k_system=float(values["k_system"]),
+        k_system=number("k_system"),
         boards=tuple(boards),
-        truth_model=(float(values["truth_a"]), float(values["truth_b"]), float(values["truth_c"])),
+        truth_model=(number("truth_a"), number("truth_b"), number("truth_c")),
         scaling=scaling,
         outlier_injection=simulate.OutlierInjection(
-            fraction=float(values.get("outlier_fraction", "0")),
-            magnitude_sigma=float(values.get("outlier_magnitude_sigma", "0")),
+            fraction=number("outlier_fraction", default=0.0),
+            magnitude_sigma=number("outlier_magnitude_sigma", default=0.0),
         ),
-        seed=int(values.get("seed", "0")),
+        seed=number("seed", parse_int, 0),
     )
 
 

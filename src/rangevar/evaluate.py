@@ -8,13 +8,13 @@ their observed intensity span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import EmptyGrid, EmptyStats, NonPositiveIntensity
 from .fit import RangeVarianceModel, evaluate_model
-from .ingest import IntensityKind, ScanDataset
+from .ingest import IntensityKind, ScanDataset, csv_text
 from .preprocess import TickStats
 
 
@@ -179,24 +179,16 @@ VCM_HEADER = "index,var_range_mm2,var_vert_rad2,var_horiz_rad2"
 
 def evaluation_report_to_csv(report: EvaluationReport) -> str:
     """Per-tick rows plus a summary footer (as comment lines)."""
-    lines = [EVALUATION_HEADER]
-    for r in report.residuals:
-        lines.append(
-            f"{r.tick_id},{r.intensity!r},{r.observed_std!r},{r.predicted_std!r},"
-            f"{r.residual!r},{int(r.extrapolated)}"
-        )
-    lines.append(f"#rmse_mm={report.rmse!r}")
-    lines.append(f"#max_abs_residual_mm={report.max_abs_residual!r}")
-    lines.append(f"#extrapolated_count={report.extrapolated_count}")
-    lines.append("")
-    return "\n".join(lines)
+    columns = [[getattr(r, f.name) for r in report.residuals] for f in fields(ResidualRow)]
+    columns[-1] = [int(extrapolated) for extrapolated in columns[-1]]
+    return csv_text([EVALUATION_HEADER], columns, [
+        f"#rmse_mm={report.rmse!r}",
+        f"#max_abs_residual_mm={report.max_abs_residual!r}",
+        f"#extrapolated_count={report.extrapolated_count}",
+    ])
 
 
 def vcm_to_csv(blocks: VcmBlocks) -> str:
     """Per-point variance rows; the constant angular terms repeat."""
-    lines = [VCM_HEADER]
-    vv = repr(blocks.var_vertical_rad2)
-    vh = repr(blocks.var_horizontal_rad2)
-    lines.extend(f"{i},{vr!r},{vv},{vh}" for i, vr in enumerate(blocks.var_range_mm2.tolist()))
-    lines.append("")
-    return "\n".join(lines)
+    variances = [blocks.var_range_mm2, blocks.var_vertical_rad2, blocks.var_horizontal_rad2]
+    return csv_text([VCM_HEADER], [range(len(blocks)), *variances])

@@ -62,23 +62,23 @@ class RangeVarianceModel:
             raise ValueError(f"intensity_domain must satisfy 0 < min < max, got {self.intensity_domain}")
 
 
+# Damping starts at INITIAL_DAMPING, is multiplied by 10 on a rejected step
+# and divided by 10 on an accepted one. The fit has converged when the relative
+# cost change < COST_TOL, the gradient max-norm < GRAD_TOL or the step max-norm < STEP_TOL.
+INITIAL_DAMPING = 1e-3
+COST_TOL = 1e-12
+GRAD_TOL = 1e-10
+STEP_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class FitOptions:
-    """Solver knobs; the defaults implement the documented schedule.
-
-    Damping starts at initial_damping, is multiplied by 10 on a rejected
-    step, divided by 10 on an accepted one. Convergence: relative cost
-    change < cost_tol, or gradient max-norm < grad_tol, or step max-norm
-    < step_tol. weights, when given, are per-point multipliers on the
+    """Solver knobs. weights, when given, are per-point multipliers on the
     squared residuals (all-equal weights reproduce the unweighted fit).
     intensity_kind tags the resulting model.
     """
 
     max_iterations: int = 200
-    initial_damping: float = 1e-3
-    cost_tol: float = 1e-12
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
     weights: tuple[float, ...] | None = None
     intensity_kind: IntensityKind = IntensityKind.RAW
 
@@ -121,6 +121,12 @@ def model_jacobian(a: float, b: float, c: float, intensities) -> np.ndarray:
     jac[:, 1] = a * power * np.log(arr)
     jac[:, 2] = 1.0
     return jac
+
+
+def _normal_equations(x: np.ndarray, intensity: np.ndarray, w: np.ndarray, res: np.ndarray):
+    """The weighted normal matrix J^T W J and gradient J^T W r at parameters x."""
+    jac = model_jacobian(*x, intensity)
+    return jac.T @ (jac * w[:, None]), jac.T @ (w * res)
 
 
 def _as_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -196,12 +202,10 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
     if np.unique(intensity).size < 3:
         raise RankDeficient("need >= 3 distinct intensity values")
 
-    if opts.weights is not None:
-        w = np.asarray(opts.weights, dtype=float)
-        if w.shape != intensity.shape or np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be positive, finite, one per point")
-    else:
-        w = None
+    # Unit weights when none are given: multiplying by 1.0 is exact.
+    w = np.ones(n) if opts.weights is None else np.asarray(opts.weights, dtype=float)
+    if w.shape != intensity.shape or np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be positive, finite, one per point")
 
     a, b, c = initial_guess(points)
     x = np.array([a, b, c])
@@ -209,24 +213,18 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
     def residual(params: np.ndarray) -> np.ndarray:
         return params[0] * intensity ** params[1] + params[2] - std
 
-    def cost_of(res: np.ndarray) -> float:
-        return float(res @ (w * res)) if w is not None else float(res @ res)
-
     res = residual(x)
-    cost = cost_of(res)
-    lam = opts.initial_damping
+    cost = float(res @ (w * res))
+    lam = INITIAL_DAMPING
     converged = False
     iterations = 0
 
     for _ in range(opts.max_iterations):
         iterations += 1
-        jac = model_jacobian(x[0], x[1], x[2], intensity)
-        jw = jac * w[:, None] if w is not None else jac
-        grad = jac.T @ (w * res) if w is not None else jac.T @ res
-        if np.max(np.abs(grad)) < opts.grad_tol:
+        normal, grad = _normal_equations(x, intensity, w, res)
+        if np.max(np.abs(grad)) < GRAD_TOL:
             converged = True
             break
-        normal = jac.T @ jw
         # Marquardt scaling: damp proportionally to the normal matrix
         # diagonal so the step is invariant under parameter rescaling.
         # A floor keeps zero diagonal entries (e.g. a = 0 kills the b
@@ -241,17 +239,17 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
             continue
         new_x = x + step
         new_res = residual(new_x)
-        new_cost = cost_of(new_res)
+        new_cost = float(new_res @ (w * new_res))
         if not math.isfinite(new_cost) or new_cost >= cost:
             lam *= 10.0
-            if np.max(np.abs(step)) < opts.step_tol:
+            if np.max(np.abs(step)) < STEP_TOL:
                 converged = True
                 break
             continue
         rel_drop = (cost - new_cost) / cost if cost > 0 else 0.0
         x, res, cost = new_x, new_res, new_cost
         lam /= 10.0
-        if rel_drop < opts.cost_tol or np.max(np.abs(step)) < opts.step_tol:
+        if rel_drop < COST_TOL or np.max(np.abs(step)) < STEP_TOL:
             converged = True
             break
 
@@ -265,11 +263,8 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
 
     stddevs = (math.nan, math.nan, math.nan)
     if n > 3:
-        jac = model_jacobian(a, b, c, intensity)
-        jw = jac * w[:, None] if w is not None else jac
-        normal = jac.T @ jw
         try:
-            cov = cost / (n - 3) * np.linalg.inv(normal)
+            cov = cost / (n - 3) * np.linalg.inv(_normal_equations(x, intensity, w, res)[0])
             stddevs = tuple(float(v) for v in np.sqrt(np.maximum(np.diag(cov), 0.0)))
         except np.linalg.LinAlgError:
             pass

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -58,8 +59,8 @@ from .errors import (
 _COLUMNS = ("profile", "vertical_angle", "horizontal_angle", "range", "intensity")
 _DTYPES = {name: np.int64 if name == "profile" else np.float64 for name in _COLUMNS}
 
-# Body lines converted at a time. Bounds the reader's transient memory and
-# the share of the file a single bad row sends through the per-row parse.
+# Body lines converted at a time, read or written. Bounds the transient memory
+# and the share of the file a single bad row sends through the per-row parse.
 _BLOCK_LINES = 16384
 
 _ANGLE_FACTORS = {
@@ -177,7 +178,8 @@ def _read_text(source) -> str:
     raise TypeError(f"unsupported source type: {type(source).__name__}")
 
 
-def _parse_float(text: str, line_number: int, column: str) -> float:
+def parse_float(text: str, line_number: int, column: str) -> float:
+    """A finite float() of one field of any text input, else MalformedRow naming the line."""
     try:
         value = float(text)
     except ValueError:
@@ -187,26 +189,31 @@ def _parse_float(text: str, line_number: int, column: str) -> float:
     return value
 
 
+def parse_int(text: str, line_number: int, column: str) -> int:
+    """An int() of one field of any text input, else MalformedRow naming the line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedRow(line_number, f"cannot parse '{text}' in column '{column}'") from None
+
+
 def _parse_row(line: str, line_number: int, positions: list[int]) -> tuple:
     """One stripped data line as (profile, vertical, horizontal, range, intensity)."""
     fields = line.split(",")
     if len(fields) != len(_COLUMNS):
         raise MalformedRow(line_number, f"expected {len(_COLUMNS)} fields, got {len(fields)}")
     p_prof, p_vert, p_horiz, p_range, p_inten = positions
-    try:
-        profile = int(fields[p_prof])
-    except ValueError:
-        raise MalformedRow(line_number, f"cannot parse profile index '{fields[p_prof]}'") from None
+    profile = parse_int(fields[p_prof], line_number, "profile")
     if profile < 0:
         raise MalformedRow(line_number, f"profile index must be >= 0, got {profile}")
     if profile >= 2**63:
         raise MalformedRow(line_number, f"profile index must be < 2**63, got {profile}")
-    vert = _parse_float(fields[p_vert], line_number, "vertical_angle")
-    horiz = _parse_float(fields[p_horiz], line_number, "horizontal_angle")
-    rng = _parse_float(fields[p_range], line_number, "range")
+    vert = parse_float(fields[p_vert], line_number, "vertical_angle")
+    horiz = parse_float(fields[p_horiz], line_number, "horizontal_angle")
+    rng = parse_float(fields[p_range], line_number, "range")
     if rng <= 0.0:
         raise InvalidRange(line_number, rng)
-    inten = _parse_float(fields[p_inten], line_number, "intensity")
+    inten = parse_float(fields[p_inten], line_number, "intensity")
     if inten < 0.0:
         raise MalformedRow(line_number, f"intensity must be >= 0, got {inten!r}")
     return profile, vert, horiz, rng, inten
@@ -293,9 +300,9 @@ def parse_profile_csv(source, options: ParseOptions = ParseOptions()) -> ScanDat
             if key == "scanner":
                 meta_kw["scanner_id"] = value
             elif key == "rate_khz":
-                meta_kw["scanning_rate_khz"] = _parse_float(value, line_number, "rate_khz")
+                meta_kw["scanning_rate_khz"] = parse_float(value, line_number, "rate_khz")
             elif key == "nominal_distance_m":
-                meta_kw["nominal_distance"] = _parse_float(value, line_number, "nominal_distance_m")
+                meta_kw["nominal_distance"] = parse_float(value, line_number, "nominal_distance_m")
             elif key == "intensity_kind":
                 try:
                     meta_kw["intensity_kind"] = IntensityKind(value.lower())
@@ -340,6 +347,27 @@ def parse_profile_csv(source, options: ParseOptions = ParseOptions()) -> ScanDat
     )
 
 
+def csv_text(head: list[str], columns: list, tail: list[str] = ()) -> str:
+    """The text of every CSV table: head lines, one row per index, tail lines.
+
+    The first column is a numpy array or a sequence of Python ints and
+    floats; so is any other, or it is one int or float written on every
+    row. Cells are repr() of Python values, so arrays pass through
+    tolist(), _BLOCK_LINES rows at a time. Every line ends in LF.
+    """
+    lines = list(head)
+    for start in range(0, len(columns[0]), _BLOCK_LINES):
+        cells = []
+        for column in columns:
+            if isinstance(column, (int, float)):
+                cells.append(itertools.repeat(repr(column)))
+            else:
+                block = column[start:start + _BLOCK_LINES]
+                cells.append(map(repr, block.tolist() if isinstance(block, np.ndarray) else block))
+        lines.extend(map(",".join, zip(*cells)))
+    return "\n".join([*lines, *tail, ""])
+
+
 def serialize_dataset(ds: ScanDataset) -> str:
     """Render a ScanDataset back to the CSV format (LF newlines).
 
@@ -358,12 +386,7 @@ def serialize_dataset(ds: ScanDataset) -> str:
     if meta.point_spacing_note:
         out.append(f"#note={meta.point_spacing_note}")
     out.append(",".join(_COLUMNS))
-    columns = [getattr(ds, name) for name in _COLUMNS]
-    for start in range(0, len(ds), _BLOCK_LINES):
-        profile, *floats = (column[start:start + _BLOCK_LINES].tolist() for column in columns)
-        out.extend(map(",".join, zip(map(str, profile), *(map(repr, v) for v in floats))))
-    out.append("")
-    return "\n".join(out)
+    return csv_text(out, [getattr(ds, name) for name in _COLUMNS])
 
 
 def _finite_span(values: np.ndarray) -> tuple[float, float]:

@@ -26,12 +26,12 @@ reference (test_preprocess_equals_the_per_tick_reference).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
-from .ingest import ScanDataset
+from .ingest import ScanDataset, csv_text, parse_float, parse_int
 
 # A boolean array aligned with a TickGroup's members; True = exclude.
 OutlierMask = np.ndarray
@@ -304,23 +304,18 @@ def tick_stats_to_csv(stats: list[TickStats]) -> str:
         raise ValueError(
             f"{calibrated} of {len(stats)} ticks are calibrated; a tick table needs all or none"
         )
-    lines = [CALIBRATED_HEADER if calibrated else TICK_STATS_HEADER]
-    for s in stats:
-        line = (
-            f"{s.tick_id},{s.vertical_angle_center!r},{s.mean_intensity!r},"
-            f"{s.mean_range!r},{s.std_range!r},{s.count}"
-        )
-        lines.append(f"{line},{s.calibrated_intensity!r}" if calibrated else line)
-    lines.append("")
-    return "\n".join(lines)
+    names = [f.name for f in fields(TickStats)][: 7 if calibrated else 6]
+    header = CALIBRATED_HEADER if calibrated else TICK_STATS_HEADER
+    return csv_text([header], [[getattr(s, name) for s in stats] for name in names])
 
 
 def read_tick_stats_csv(text: str) -> list[TickStats]:
     """Parse the tick_stats_to_csv format back into TickStats rows.
 
     The header chooses the layout, with or without calibrated_intensity.
-    Blank lines are skipped. A bad header, field count or number raises
-    MalformedRow naming its 1-based line.
+    Blank lines are skipped. Fields convert as scan fields do: a bad header,
+    field count or number, a non-finite float, std_range_mm < 0 or count < 1
+    raises MalformedRow naming its 1-based line.
     """
     numbered = ((n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1))
     lines = ((n, ln) for n, ln in numbered if ln)
@@ -333,13 +328,15 @@ def read_tick_stats_csv(text: str) -> list[TickStats]:
         f = ln.split(",")
         if len(f) != width:
             raise MalformedRow(n, f"expected {width} fields, got {len(f)}")
-        try:
-            stats.append(
-                TickStats(
-                    int(f[0]), float(f[1]), float(f[2]), float(f[3]), float(f[4]), int(f[5]),
-                    float(f[6]) if width == 7 else None,
-                )
-            )
-        except ValueError as exc:
-            raise MalformedRow(n, str(exc)) from None
+        tick = TickStats(
+            parse_int(f[0], n, "tick_id"), parse_float(f[1], n, "vertical_angle_center"),
+            parse_float(f[2], n, "mean_intensity"), parse_float(f[3], n, "mean_range_m"),
+            parse_float(f[4], n, "std_range_mm"), parse_int(f[5], n, "count"),
+            parse_float(f[6], n, "calibrated_intensity") if width == 7 else None,
+        )
+        if tick.std_range < 0:
+            raise MalformedRow(n, f"std_range_mm must be >= 0, got {tick.std_range!r}")
+        if tick.count < 1:
+            raise MalformedRow(n, f"count must be >= 1, got {tick.count}")
+        stats.append(tick)
     return stats

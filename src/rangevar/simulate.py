@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, NonPositiveRange
-from .ingest import IntensityKind, ScanDataset, ScanMeta
+from .ingest import IntensityKind, ScanDataset, ScanMeta, csv_text
 
 # Vertical encoder step between consecutive ticks, radians. Boards occupy
 # consecutive ticks starting at one step above zero.
@@ -239,8 +239,5 @@ GROUND_TRUTH_HEADER = "tick_id,true_intensity,true_sigma_mm"
 
 def ground_truth_to_csv(gt: GroundTruth) -> str:
     """Sidecar CSV of per-tick truth."""
-    lines = [GROUND_TRUTH_HEADER]
-    for tick in gt.ticks:
-        lines.append(f"{tick.tick_id},{tick.true_intensity!r},{tick.true_sigma_mm!r}")
-    lines.append("")
-    return "\n".join(lines)
+    names = ("tick_id", "true_intensity", "true_sigma_mm")
+    return csv_text([GROUND_TRUTH_HEADER], [[getattr(t, name) for t in gt.ticks] for name in names])

@@ -11,10 +11,18 @@ preprocess ran before ticks were screened and reduced together, numpy
 1-D calls included, so its TickStats are the bit-exact baseline the
 stacked code must reproduce. ref_outlier_mask checks the rule itself by
 the independent path.
+
+The ref_*_csv writers and ref_serialize_dataset are the table writers as
+each module wrote its own rows before they shared ingest.csv_text, copied
+unchanged apart from their names; their bytes are the baseline.
 """
 
 import math
 
+import numpy as np
+
+from rangevar import fit as fit_mod
+from rangevar.cli import CURVE_HEADER, CURVE_POINTS
 from rangevar.errors import (
     EmptyDataset,
     InvalidRange,
@@ -22,6 +30,9 @@ from rangevar.errors import (
     MissingColumn,
     NonFiniteValue,
 )
+from rangevar.evaluate import EVALUATION_HEADER, VCM_HEADER
+from rangevar.preprocess import CALIBRATED_HEADER, TICK_STATS_HEADER
+from rangevar.simulate import GROUND_TRUTH_HEADER
 
 
 def ref_mean(values):
@@ -318,3 +329,88 @@ def ref_validate_rows(rows):
         if math.isfinite(inten):
             i_lo, i_hi = min(i_lo, inten), max(i_hi, inten)
     return tuple(violations), len({row[0] for row in rows}), (v_lo, v_hi), (i_lo, i_hi)
+
+
+# ---- table writers -------------------------------------------------------------
+
+_BLOCK_LINES = 16384
+
+
+def ref_serialize_dataset(ds):
+    out: list[str] = []
+    meta = ds.meta
+    if meta.scanner_id:
+        out.append(f"#scanner={meta.scanner_id}")
+    if meta.scanning_rate_khz is not None:
+        out.append(f"#rate_khz={meta.scanning_rate_khz!r}")
+    out.append(f"#intensity_kind={meta.intensity_kind.value}")
+    if meta.nominal_distance is not None:
+        out.append(f"#nominal_distance_m={meta.nominal_distance!r}")
+    if meta.point_spacing_note:
+        out.append(f"#note={meta.point_spacing_note}")
+    out.append(",".join(_SCAN_COLUMNS))
+    columns = [getattr(ds, name) for name in _SCAN_COLUMNS]
+    for start in range(0, len(ds), _BLOCK_LINES):
+        profile, *floats = (column[start:start + _BLOCK_LINES].tolist() for column in columns)
+        out.extend(map(",".join, zip(map(str, profile), *(map(repr, v) for v in floats))))
+    out.append("")
+    return "\n".join(out)
+
+
+def ref_tick_stats_to_csv(stats):
+    calibrated = sum(s.calibrated_intensity is not None for s in stats)
+    if 0 < calibrated < len(stats):
+        raise ValueError(
+            f"{calibrated} of {len(stats)} ticks are calibrated; a tick table needs all or none"
+        )
+    lines = [CALIBRATED_HEADER if calibrated else TICK_STATS_HEADER]
+    for s in stats:
+        line = (
+            f"{s.tick_id},{s.vertical_angle_center!r},{s.mean_intensity!r},"
+            f"{s.mean_range!r},{s.std_range!r},{s.count}"
+        )
+        lines.append(f"{line},{s.calibrated_intensity!r}" if calibrated else line)
+    lines.append("")
+    return "\n".join(lines)
+
+
+def ref_ground_truth_to_csv(gt):
+    lines = [GROUND_TRUTH_HEADER]
+    for tick in gt.ticks:
+        lines.append(f"{tick.tick_id},{tick.true_intensity!r},{tick.true_sigma_mm!r}")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def ref_evaluation_report_to_csv(report):
+    lines = [EVALUATION_HEADER]
+    for r in report.residuals:
+        lines.append(
+            f"{r.tick_id},{r.intensity!r},{r.observed_std!r},{r.predicted_std!r},"
+            f"{r.residual!r},{int(r.extrapolated)}"
+        )
+    lines.append(f"#rmse_mm={report.rmse!r}")
+    lines.append(f"#max_abs_residual_mm={report.max_abs_residual!r}")
+    lines.append(f"#extrapolated_count={report.extrapolated_count}")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def ref_vcm_to_csv(blocks):
+    lines = [VCM_HEADER]
+    vv = repr(blocks.var_vertical_rad2)
+    vh = repr(blocks.var_horizontal_rad2)
+    lines.extend(f"{i},{vr!r},{vv},{vh}" for i, vr in enumerate(blocks.var_range_mm2.tolist()))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def ref_curve_csv(model):
+    lo, hi = model.intensity_domain
+    grid = np.geomspace(lo, hi, CURVE_POINTS)
+    values = fit_mod.evaluate_model(model, grid)
+    lines = [CURVE_HEADER]
+    for intensity, value in zip(grid, values):
+        lines.append(f"{float(intensity)!r},{float(value)!r}")
+    lines.append("")
+    return "\n".join(lines)

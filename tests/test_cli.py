@@ -139,6 +139,36 @@ def test_calibrate_header_only_tick_table_names_the_empty_table(tmp_path, capsys
     assert captured.out == ""
 
 
+TICK_ROWS = "0,0.001,1500.0,10.0,1.5,300\n1,0.002,800.0,20.0,3.5,300\n2,0.003,400.0,40.0,7.0,300\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("3,0.004,200.0,30.0,nan,300", "non-finite value in column 'std_range_mm'"),
+        ("3,0.004,inf,30.0,9.0,300", "non-finite value in column 'mean_intensity'"),
+        ("3,0.004,200.0,30.0,-0.5,300", "std_range_mm must be >= 0, got -0.5"),
+        ("3,0.004,200.0,30.0,9.0,-3", "count must be >= 1, got -3"),
+        ("3,0.004,200.0,30.0,9.0,0", "count must be >= 1, got 0"),
+    ],
+    ids=["nan-std", "inf-intensity", "negative-std", "negative-count", "zero-count"],
+)
+@pytest.mark.parametrize(
+    "command", [["calibrate"], ["fit"], ["fit", "--weight-by-count"]],
+    ids=["calibrate", "fit", "fit-weighted"],
+)
+def test_bad_tick_row_names_its_line_and_writes_nothing(tmp_path, capsys, bad_row, message,
+                                                        command):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(f"{preprocess.TICK_STATS_HEADER}\n{TICK_ROWS}{bad_row}\n")
+    out = tmp_path / "o"
+    assert run([*command, "--input", str(ticks), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 5: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 GOOD_MODEL = {
     "a_mm_per_unit_pow_b": 29853.0, "b": -1.02, "c_mm": 0.08,
     "intensity_domain": [100.0, 5000.0], "intensity_kind": "raw",
@@ -409,18 +439,33 @@ def test_write_atomic_gives_open_mode_and_cleans_up(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
 
 
-def test_sim_config_parse_errors(tmp_path):
+def test_sim_config_parse_errors(tmp_path, capsys):
     def code_for(text):
         path = tmp_path / "c.cfg"
         path.write_text(text)
         return run(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
 
     assert code_for("k_system 1e7\n") == 1                       # no '='
+    assert capsys.readouterr().err == "error: config line 1: expected 'key = value', got 'k_system 1e7'\n"
     assert code_for("k_system = 1e7\nboard = 0.5 10 0 1 50\n") == 1  # missing truth_*
     assert code_for(SIM_CONFIG + "board = 0.5 10\n") == 1        # short board line
     assert code_for(SIM_CONFIG + "scaling = exotic\n") == 1
     assert code_for(SIM_CONFIG + "scaling = inverse_square\n") == 1  # r_ref missing
     assert code_for(SIM_CONFIG + "scaling = custom_monotone\n") == 1
+    capsys.readouterr()
+
+    # every number converts on its own line
+    for text, message in [
+        (SIM_CONFIG + "board = x 10 0 5 100\n", "line 10: cannot parse 'x' in column 'board'"),
+        (SIM_CONFIG + "board = 0.9 10 0 5 1e2\n", "line 10: cannot parse '1e2' in column 'board'"),
+        (SIM_CONFIG.replace("k_system = 1e7", "k_system = abc"),
+         "line 3: cannot parse 'abc' in column 'k_system'"),
+        (SIM_CONFIG.replace("seed = 11", "seed = 1.5"), "line 2: cannot parse '1.5' in column 'seed'"),
+        (SIM_CONFIG.replace("truth_c = 0.08", "truth_c = nan"),
+         "line 6: non-finite value in column 'truth_c'"),
+    ]:
+        assert code_for(text) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_console_script_installed(tmp_path):

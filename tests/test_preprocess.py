@@ -481,8 +481,13 @@ ROW = "0,0.001,1500.0,10.0,1.5,300"
         (f"{TICK_STATS_HEADER}\n\n\n0,0.001,1500.0,10.0,abc,300\n", 4),
         (f"{TICK_STATS_HEADER}\n{ROW}\n1,0.002,800.0,25.0,3.5,4.5\n", 3),
         (f"{CALIBRATED_HEADER}\n{ROW},1e\n", 2),
+        (f"{TICK_STATS_HEADER}\n{ROW}\n1,0.002,800.0,25.0,nan,300\n", 3),
+        (f"{CALIBRATED_HEADER}\n\n{ROW},-inf\n", 3),
+        (f"{TICK_STATS_HEADER}\n{ROW}\n1,0.002,800.0,25.0,-1e-9,300\n", 3),
+        (f"{TICK_STATS_HEADER}\n0,0.001,1500.0,10.0,1.5,0\n", 2),
     ],
-    ids=["empty", "header", "short", "long", "calibrated-short", "float", "int", "calibrated"],
+    ids=["empty", "header", "short", "long", "calibrated-short", "float", "int", "calibrated",
+         "nan-std", "infinite-calibrated", "negative-std", "zero-count"],
 )
 def test_tick_table_errors_name_their_line(text, line):
     with pytest.raises(MalformedRow) as err:

@@ -1,0 +1,137 @@
+"""The table writers against their pre-helper copies in tests/_reference.py.
+
+Every writer builds its text through ingest.csv_text; each must give the
+bytes its own row loop gave, on the values where repr-formatting can go
+wrong: signed zero, subnormals, large and small floats, ints past 2**62,
+non-finite floats, empty tables, constant columns and bools.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from _reference import (
+    ref_curve_csv,
+    ref_evaluation_report_to_csv,
+    ref_ground_truth_to_csv,
+    ref_serialize_dataset,
+    ref_tick_stats_to_csv,
+    ref_vcm_to_csv,
+)
+from rangevar import ingest
+from rangevar.cli import _curve_csv
+from rangevar.evaluate import (
+    EvaluationReport,
+    ResidualRow,
+    VcmBlocks,
+    evaluation_report_to_csv,
+    vcm_to_csv,
+)
+from rangevar.fit import RangeVarianceModel
+from rangevar.ingest import IntensityKind, ScanDataset, ScanMeta, serialize_dataset
+from rangevar.preprocess import TickStats, tick_stats_to_csv
+from rangevar.simulate import GroundTruth, GroundTruthTick, ground_truth_to_csv
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-5, -1e-5, 1e300, 0.1)
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
+INTS = (
+    st.sampled_from((0, -1, 2**62 - 1, 2**62, 2**62 + 1, -(2**62)))
+    | st.integers(-(2**63), 2**63 - 1)
+)
+BLOCK_LINES = st.sampled_from((1, 2, 3, 16384))
+
+META = st.builds(
+    ScanMeta,
+    scanner_id=st.sampled_from(("", "synthetic", "Z+F Imager 5016")),
+    scanning_rate_khz=st.none() | FLOATS,
+    nominal_distance=st.none() | FLOATS,
+    intensity_kind=st.sampled_from((IntensityKind.RAW, IntensityKind.SCALED)),
+    point_spacing_note=st.none() | st.sampled_from(("", "2 mm at 10 m")),
+)
+EVERY_DIRECTIVE = ScanMeta("synthetic", 1016.0, 10.5, IntensityKind.SCALED, "2 mm at 10 m")
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(0, 12))
+    profile = draw(st.lists(INTS, min_size=n, max_size=n))
+    floats = [draw(st.lists(FLOATS, min_size=n, max_size=n)) for _ in range(4)]
+    return ScanDataset(profile, *floats, draw(META))
+
+
+def edge_dataset(meta):
+    column = list(EDGE_FLOATS)
+    profile = [2**62 + i for i in range(len(column))]
+    return ScanDataset(profile, column, column[::-1], column, column, meta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), BLOCK_LINES)
+@example(edge_dataset(EVERY_DIRECTIVE), 3)
+@example(edge_dataset(ScanMeta()), 16384)
+def test_serialize_dataset_matches_the_row_writer(ds, block_lines):
+    with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
+        assert serialize_dataset(ds) == ref_serialize_dataset(ds)
+
+
+@st.composite
+def tick_lists(draw):
+    calibrated = draw(st.booleans())
+    return [
+        TickStats(
+            draw(INTS), draw(FLOATS), draw(FLOATS), draw(FLOATS), draw(FLOATS), draw(INTS),
+            draw(FLOATS) if calibrated else None,
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tick_lists())
+@example([])
+@example([TickStats(2**62, -0.0, 5e-324, 1e16, 1e-5, 2**62 + 1, -0.0)])
+@example([TickStats(-(2**62), 1e-5, 1e16, 5e-324, -0.0, 1)])
+def test_tick_table_matches_the_row_writer(stats):
+    assert tick_stats_to_csv(stats) == ref_tick_stats_to_csv(stats)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(GroundTruthTick, INTS, FLOATS, FLOATS, FLOATS), max_size=8))
+def test_ground_truth_matches_the_row_writer(ticks):
+    gt = GroundTruth(tuple(ticks), ())
+    assert ground_truth_to_csv(gt) == ref_ground_truth_to_csv(gt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.builds(ResidualRow, INTS, FLOATS, FLOATS, FLOATS, FLOATS, st.booleans()), max_size=8),
+    FLOATS, FLOATS,
+)
+@example([ResidualRow(2**62, -0.0, 5e-324, 1e16, 1e-5, True),
+          ResidualRow(0, 1e-5, 1e16, 5e-324, -0.0, False)], -0.0, 5e-324)
+def test_evaluation_report_matches_the_row_writer(rows, rmse, max_abs):
+    report = EvaluationReport(tuple(rows), rmse, max_abs)
+    assert evaluation_report_to_csv(report) == ref_evaluation_report_to_csv(report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(FLOATS, max_size=12), FLOATS, FLOATS, BLOCK_LINES)
+@example(list(EDGE_FLOATS), 1e-5, -0.0, 3)
+@example([], 5e-324, 1e16, 16384)
+def test_vcm_matches_the_row_writer(var_range, var_vertical, var_horizontal, block_lines):
+    blocks = VcmBlocks(np.array(var_range, dtype=float), var_vertical, var_horizontal)
+    with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
+        assert vcm_to_csv(blocks) == ref_vcm_to_csv(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(-1e3, 1e3), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0),
+    st.floats(1e-3, 1e3), st.floats(1.001, 1e4), st.sampled_from(list(IntensityKind)),
+)
+@example(1e16, 0.0, -0.0, 1e-5, 2.0, IntensityKind.RAW)
+def test_curve_matches_the_row_writer(a, b, c, lo, span, kind):
+    model = RangeVarianceModel(a, b, c, (lo, lo * span), kind)
+    assert _curve_csv(model) == ref_curve_csv(model)
