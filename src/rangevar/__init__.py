@@ -34,7 +34,6 @@ from .fit import (
 )
 from .ingest import (
     IntensityKind,
-    ParseOptions,
     ScanDataset,
     ScanMeta,
     ValidationReport,
@@ -81,7 +80,6 @@ __all__ = [
     "IntensityKind",
     "InverseSquareScaling",
     "OutlierInjection",
-    "ParseOptions",
     "PreprocessConfig",
     "RangeVarianceModel",
     "RangevarError",

@@ -55,7 +55,8 @@ def _write_atomic(path: Path, text: str) -> None:
 
     Concurrent writers into one directory never share a temporary file,
     a failed write leaves none behind, and the result gets the mode a
-    plain open() would give it rather than mkstemp's 0600.
+    plain open() would give it rather than mkstemp's 0600. The text is
+    encoded 1 MiB at a time, so no second whole-file copy is held.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -64,7 +65,8 @@ def _write_atomic(path: Path, text: str) -> None:
             umask = os.umask(0)  # the umask can only be read by setting it
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text.encode("utf-8"))
+            for start in range(0, len(text), 1 << 20):
+                fh.write(text[start:start + (1 << 20)].encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -139,6 +141,10 @@ def read_sim_config(text: str) -> simulate.SimulationConfig:
     else:
         raise InvalidConfig(f"unknown scaling '{scaling_name}'")
 
+    seed = number("seed", parse_int, 0)
+    if seed < 0:
+        raise InvalidConfig(f"config line {line_of['seed']}: seed must be >= 0, got {seed}")
+
     return simulate.SimulationConfig(
         k_system=number("k_system"),
         boards=tuple(boards),
@@ -148,7 +154,7 @@ def read_sim_config(text: str) -> simulate.SimulationConfig:
             fraction=number("outlier_fraction", default=0.0),
             magnitude_sigma=number("outlier_magnitude_sigma", default=0.0),
         ),
-        seed=number("seed", parse_int, 0),
+        seed=seed,
     )
 
 
@@ -191,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="reference range in meters (default: mean of tick mean ranges)")
 
     p = sub.add_parser("fit", help="fit the variance model to tick statistics")
-    p.add_argument("--input", required=True, help="tick statistics CSV (plain or calibrated)")
+    p.add_argument("--input", required=True,
+                   help="tick statistics CSV; a calibrated one is fitted on calibrated intensities")
     p.add_argument("--out", required=True)
     _add_fit_flags(p)
 
@@ -242,10 +249,8 @@ def _add_fit_flags(p: argparse.ArgumentParser, include_kind: bool = True) -> Non
     p.add_argument("--weight-by-count", action="store_true",
                    help="weight each tick by its member count")
     if include_kind:
-        p.add_argument("--use-calibrated", action="store_true",
-                       help="fit on the calibrated_intensity column")
         p.add_argument("--intensity-kind", choices=("raw", "scaled"), default="raw",
-                       help="abscissa tag when not fitting calibrated values")
+                       help="abscissa tag of an uncalibrated tick table")
 
 
 def _preprocess_config(args) -> preprocess.PreprocessConfig:
@@ -381,9 +386,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_fit(args) -> int:
     ticks = preprocess.read_tick_stats_csv(_read_text(args.input))
-    if args.use_calibrated and not all(t.calibrated_intensity is not None for t in ticks):
-        raise _UsageError("--use-calibrated needs a calibrated tick CSV as --input")
-    kind = ingest.IntensityKind("calibrated" if args.use_calibrated else args.intensity_kind)
+    calibrated = ticks and ticks[0].calibrated_intensity is not None
+    kind = ingest.IntensityKind("calibrated" if calibrated else args.intensity_kind)
     _fit(ticks, args, kind, Path(args.out))
     return 0
 

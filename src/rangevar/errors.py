@@ -97,7 +97,7 @@ class RankDeficient(RangevarError):
 
 class DomainViolation(RangevarError):
     """The fitted model predicts a non-positive standard deviation inside
-    its own intensity domain."""
+    its own intensity domain, or its cost there is not finite."""
 
 
 class EmptyStats(RangevarError):

@@ -144,8 +144,8 @@ def initial_guess(points) -> tuple[float, float, float]:
     c0 = 0.5 * min(std_range); (a0, b0) by ordinary linear regression of
     ln(std_range - c0) on ln(I) over points with std_range > c0; when
     fewer than 3 points qualify, c0 falls back to 0. Raises RankDeficient
-    when the regression is degenerate (constant abscissa or constant
-    shifted response).
+    when the regression is degenerate (constant abscissa, constant
+    shifted response, or a slope so steep that a0 overflows).
     """
     intensity, std = _as_points(points)
     if intensity.size < 3:
@@ -171,7 +171,10 @@ def initial_guess(points) -> tuple[float, float, float]:
     if float(dy @ dy) == 0.0:
         raise RankDeficient("shifted response is constant; exponent not identifiable")
     b0 = float(dx @ dy) / sxx
-    a0 = math.exp(float(y.mean()) - b0 * float(x.mean()))
+    try:
+        a0 = math.exp(float(y.mean()) - b0 * float(x.mean()))
+    except OverflowError:
+        raise RankDeficient(f"start exponent b0 = {b0:g} overflows a0; the intensities barely vary") from None
     return a0, b0, c0
 
 
@@ -181,15 +184,17 @@ def _check_positive_in_domain(a: float, b: float, c: float, lo: float, hi: float
     return (a * lo**b + c) > 0 and (a * hi**b + c) > 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
     """Least-squares estimate of (a, b, c) from (intensity, std) pairs.
 
     Deterministic in inputs and options. final_cost never exceeds the
     cost at the initial guess. Raises TooFewPoints, RankDeficient (fewer
     than 3 distinct intensities), NonPositiveIntensity, or
-    DomainViolation (the converged model predicts sigma <= 0 inside its
-    own intensity domain). Reaching max_iterations is reported via
-    converged=False, not an exception.
+    DomainViolation (the final cost is not finite, or the converged model
+    predicts sigma <= 0 inside its own intensity domain). Reaching
+    max_iterations is reported via converged=False, not an exception.
+    A trial step that overflows is rejected without a numpy warning.
     """
     intensity, std = _as_points(points)
     n = intensity.size
@@ -255,6 +260,11 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
 
     a, b, c = (float(v) for v in x)
     lo, hi = float(intensity.min()), float(intensity.max())
+    if not math.isfinite(cost):
+        raise DomainViolation(
+            f"fit cost is {cost!r} mm^2: the model or its squared residuals overflow "
+            f"on the intensity domain [{lo:g}, {hi:g}]"
+        )
     if not _check_positive_in_domain(a, b, c, lo, hi):
         raise DomainViolation(
             f"fitted model predicts sigma <= 0 inside intensity domain [{lo:g}, {hi:g}]"
@@ -297,7 +307,7 @@ def fit_general_model(calibrated: list[TickStats], opts: FitOptions = FitOptions
 def fit_report_to_json(report: FitReport) -> str:
     """Serialize a FitReport to the documented JSON record."""
     m = report.model
-    stddevs = [None if math.isnan(s) else s for s in report.parameter_stddevs]
+    stddevs = [s if math.isfinite(s) else None for s in report.parameter_stddevs]
     record = {
         "model": {
             "a_mm_per_unit_pow_b": m.a,
@@ -311,12 +321,14 @@ def fit_report_to_json(report: FitReport) -> str:
         "converged": report.converged,
         "parameter_stddevs": stddevs,
     }
-    return json.dumps(record, indent=2) + "\n"
+    return json.dumps(record, indent=2, allow_nan=False) + "\n"
 
 
 def _number(value) -> float:
     if type(value) not in (int, float):  # a JSON true is no number
         raise TypeError("not a JSON number")
+    if not math.isfinite(value):  # NaN and Infinity are no JSON numbers either
+        raise ValueError("not a finite number")
     return float(value)
 
 
@@ -331,7 +343,10 @@ def _exactly(kind):
 def _domain(value) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError("not a [min, max] pair")
-    return _number(value[0]), _number(value[1])
+    lo, hi = _number(value[0]), _number(value[1])
+    if not 0 < lo < hi:
+        raise ValueError("not 0 < min < max")
+    return lo, hi
 
 
 def _field(record: dict, path: str, convert=_number):
@@ -352,10 +367,15 @@ def _field(record: dict, path: str, convert=_number):
 def read_fit_report_json(text: str) -> FitReport:
     """Parse the fit_report_to_json record.
 
-    A record that is no JSON object, lacks a key or holds a value of the
-    wrong type raises MalformedFitReport naming the key.
+    Text that is not JSON raises MalformedFitReport naming the decoder's
+    line and column. A record that is no JSON object, lacks a key or
+    holds a value of the wrong type, a non-finite number or a domain not
+    0 < min < max raises MalformedFitReport naming the key.
     """
-    record = json.loads(text)
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedFitReport(f"fit report: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(record, dict):
         raise MalformedFitReport("fit report: the record is not a JSON object")
     m = _field(record, "model", _exactly(dict))

@@ -15,10 +15,10 @@ carry dataset metadata:
 They are followed by the mandatory header
 ``profile,vertical_angle,horizontal_angle,range,intensity`` (any column
 order, exactly these five names) and one observation per line. Blank
-lines and ``#`` lines in the body are skipped. Angles are radians unless
-ParseOptions says otherwise; ranges are meters; intensity is
-dimensionless (raw counts or scaled percent, per metadata). Unknown
-directives are ignored so newer writers stay readable.
+lines and ``#`` lines in the body are skipped. Angles are radians;
+ranges are meters; intensity is dimensionless (raw counts or scaled
+percent, per metadata). Unknown directives are ignored so newer writers
+stay readable.
 
 Numbers use Python's int() and float() syntax. A row's fields are checked
 in the header order above, each completely before the next: the profile
@@ -39,11 +39,10 @@ in lenient mode, drops the bad rows).
 from __future__ import annotations
 
 import enum
-import io
 import itertools
 import math
-import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -63,12 +62,6 @@ _DTYPES = {name: np.int64 if name == "profile" else np.float64 for name in _COLU
 # and the share of the file a single bad row sends through the per-row parse.
 _BLOCK_LINES = 16384
 
-_ANGLE_FACTORS = {
-    "rad": 1.0,
-    "deg": math.pi / 180.0,
-    "gon": math.pi / 200.0,
-}
-
 
 class IntensityKind(enum.Enum):
     """How the intensity channel is expressed.
@@ -86,7 +79,7 @@ class IntensityKind(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ScanMeta:
-    """Dataset-level metadata from directives or parse options."""
+    """Dataset-level metadata from the file's directives."""
 
     scanner_id: str = ""
     scanning_rate_khz: float | None = None
@@ -129,22 +122,6 @@ class ScanDataset:
 
 
 @dataclass(frozen=True)
-class ParseOptions:
-    """Knobs for parse_profile_csv.
-
-    angle_unit: "rad" (default), "deg", or "gon"; non-radian input is
-    converted on read. lenient: skip rows that fail validation and count
-    them instead of aborting. scanner_id / intensity_kind act as defaults
-    when the file carries no matching directive.
-    """
-
-    angle_unit: str = "rad"
-    lenient: bool = False
-    scanner_id: str = ""
-    intensity_kind: IntensityKind | None = None
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Summary counts and invariant violations for a parsed dataset."""
 
@@ -160,7 +137,7 @@ class ValidationReport:
 
 
 def _read_text(source) -> str:
-    """Accept a path, bytes, str, or file-like object and return text.
+    """The text of a path, bytes or str source.
 
     A str holding a line break is CSV content; any other str is a path,
     since a dataset needs a header line plus at least one row.
@@ -169,13 +146,7 @@ def _read_text(source) -> str:
         return decode_utf8(source)
     if isinstance(source, str) and ("\n" in source or "\r" in source):
         return source
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            return decode_utf8(fh.read())
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return decode_utf8(data) if isinstance(data, bytes) else data
-    raise TypeError(f"unsupported source type: {type(source).__name__}")
+    return decode_utf8(Path(source).read_bytes())
 
 
 def parse_float(text: str, line_number: int, column: str) -> float:
@@ -266,26 +237,18 @@ def _parse_block(block: list[str], row_dtype: np.dtype):
     return columns
 
 
-def parse_profile_csv(source, options: ParseOptions = ParseOptions()) -> ScanDataset:
-    """Parse the documented CSV format into a ScanDataset.
+def parse_profile_csv(source, lenient: bool = False) -> ScanDataset:
+    """Parse the documented CSV format from a path, bytes or str into a ScanDataset.
 
     Raises MalformedRow / MissingColumn / NonFiniteValue / InvalidRange on
-    the first bad row (strict mode) and EmptyDataset when no data rows
+    the first bad row; lenient skips rows that fail a check and counts
+    them in skipped_rows instead. Raises EmptyDataset when no data rows
     survive. Observation order equals file row order. A one-line str
     source is a path, so a missing file raises FileNotFoundError.
     """
-    if options.angle_unit not in _ANGLE_FACTORS:
-        raise ValueError(f"unknown angle unit {options.angle_unit!r}")
-    angle_factor = _ANGLE_FACTORS[options.angle_unit]
-
     lines = _read_text(source).splitlines()
 
     meta_kw: dict = {}
-    if options.scanner_id:
-        meta_kw["scanner_id"] = options.scanner_id
-    if options.intensity_kind is not None:
-        meta_kw["intensity_kind"] = options.intensity_kind
-
     line_number = 0
     header: list[str] | None = None
     for raw in lines:
@@ -334,17 +297,14 @@ def parse_profile_csv(source, options: ParseOptions = ParseOptions()) -> ScanDat
         block = lines[start:start + _BLOCK_LINES]
         columns = _parse_block(block, row_dtype)
         if columns is None:
-            columns, bad = _parse_rows(block, start + 1, positions, options.lenient)
+            columns, bad = _parse_rows(block, start + 1, positions, lenient)
             skipped += bad
         blocks.append(columns)
 
     if not any(len(columns[0]) for columns in blocks):
         raise EmptyDataset("no data rows")
-    profile, vert, horiz, rng, inten = (np.concatenate(c) for c in zip(*blocks))
-    return ScanDataset(
-        profile, vert * angle_factor, horiz * angle_factor, rng, inten,
-        ScanMeta(**meta_kw), skipped_rows=skipped,
-    )
+    columns = (np.concatenate(c) for c in zip(*blocks))
+    return ScanDataset(*columns, ScanMeta(**meta_kw), skipped_rows=skipped)
 
 
 def csv_text(head: list[str], columns: list, tail: list[str] = ()) -> str:
@@ -353,9 +313,11 @@ def csv_text(head: list[str], columns: list, tail: list[str] = ()) -> str:
     The first column is a numpy array or a sequence of Python ints and
     floats; so is any other, or it is one int or float written on every
     row. Cells are repr() of Python values, so arrays pass through
-    tolist(), _BLOCK_LINES rows at a time. Every line ends in LF.
+    tolist(), _BLOCK_LINES rows at a time. Every line ends in LF. Blocks
+    are joined one by one so only one block's row strings are alive at a
+    time; with cli's sliced encoding, full-size scan_files peaks at 159 MB, not 208.
     """
-    lines = list(head)
+    chunks = [f"{line}\n" for line in head]
     for start in range(0, len(columns[0]), _BLOCK_LINES):
         cells = []
         for column in columns:
@@ -364,8 +326,9 @@ def csv_text(head: list[str], columns: list, tail: list[str] = ()) -> str:
             else:
                 block = column[start:start + _BLOCK_LINES]
                 cells.append(map(repr, block.tolist() if isinstance(block, np.ndarray) else block))
-        lines.extend(map(",".join, zip(*cells)))
-    return "\n".join([*lines, *tail, ""])
+        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    chunks.extend(f"{line}\n" for line in tail)
+    return "".join(chunks)
 
 
 def serialize_dataset(ds: ScanDataset) -> str:

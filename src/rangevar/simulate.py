@@ -118,8 +118,8 @@ class SimulationConfig:
                 raise InvalidConfig(f"board {i}: tick_count and profile_count must be >= 1")
         if not 0 <= self.outlier_injection.fraction < 1:
             raise InvalidConfig("outlier fraction must be in [0, 1)")
-        if not isinstance(self.seed, int):
-            raise InvalidConfig("seed must be an integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidConfig(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,9 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
     by vertical tick reproduces the generation blocks and tick ids match
     between dataset, preprocessing, and ground truth. Rows are emitted
     board by board, profile-major within a board; horizontal angle is 0
-    (fixed-azimuth 2D profile mode).
+    (fixed-azimuth 2D profile mode). A board whose drawn ranges or
+    recorded intensities the scan parser would refuse (a range not finite
+    and > 0, an intensity not finite and >= 0) raises InvalidConfig.
     """
     a, b, c = cfg.truth_model
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.boards))
@@ -168,7 +170,7 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
     global_tick = 0
     row_offset = 0
 
-    for board, child in zip(cfg.boards, children):
+    for i, (board, child) in enumerate(zip(cfg.boards, children)):
         rng = np.random.default_rng(child)
         n_ticks, n_prof = board.tick_count, board.profile_count
         intensity_true = radar_intensity(
@@ -205,6 +207,18 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
             recorded = intensity_true * mean_ranges**2 / cfg.scaling.r_ref
         else:
             recorded = np.full(n_ticks, cfg.scaling.apply(intensity_true))
+        bad_range = ~((ranges > 0) & np.isfinite(ranges))
+        if bad_range.any():
+            raise InvalidConfig(
+                f"board {i}: drawn range {float(ranges[bad_range][0])!r} m is not finite and > 0 "
+                f"(truth sigma = {sigma_mm:g} mm at {board.distance:g} m)"
+            )
+        bad_intensity = ~((recorded >= 0) & np.isfinite(recorded))
+        if bad_intensity.any():
+            raise InvalidConfig(
+                f"board {i}: recorded intensity {float(recorded[bad_intensity][0])!r} "
+                "is not finite and >= 0"
+            )
 
         truth_ticks.extend(
             GroundTruthTick(

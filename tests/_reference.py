@@ -173,7 +173,6 @@ def ref_nearest_center_assignment(angles, centers):
 
 
 _SCAN_COLUMNS = ("profile", "vertical_angle", "horizontal_angle", "range", "intensity")
-_ANGLE_FACTORS = {"rad": 1.0, "deg": math.pi / 180.0, "gon": math.pi / 200.0}
 
 
 def _ref_float(text, line_number, column):
@@ -205,14 +204,13 @@ def _ref_row(fields, line_number, where):
     return row
 
 
-def ref_parse_scan(text, lenient=False, angle_unit="rad"):
+def ref_parse_scan(text, lenient=False):
     """Row-by-row parse of the documented scan CSV format.
 
     Returns ({column: list of Python values}, skipped_rows), or raises the
     rangevar error class the format prescribes for the first bad line.
     Metadata directives are checked but not returned.
     """
-    factor = _ANGLE_FACTORS[angle_unit]
     lines = text.splitlines()
     header_at = None
     for number, raw in enumerate(lines, start=1):
@@ -254,8 +252,6 @@ def ref_parse_scan(text, lenient=False, angle_unit="rad"):
                 raise
             skipped += 1
             continue
-        row[1] *= factor
-        row[2] *= factor
         for column, value in zip(_SCAN_COLUMNS, row):
             columns[column].append(value)
     if not columns["profile"]:

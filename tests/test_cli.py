@@ -6,10 +6,12 @@ pyproject.toml, through the same wrapper an installer writes for it.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -117,14 +119,11 @@ def test_degenerate_inputs_exit_one(tmp_path):
 
 
 @pytest.mark.parametrize("calibrated_header", [False, True])
-@pytest.mark.parametrize("use_calibrated", [False, True])
-def test_header_only_tick_table_has_too_few_points(tmp_path, capsys, calibrated_header,
-                                                   use_calibrated):
+def test_header_only_tick_table_has_too_few_points(tmp_path, capsys, calibrated_header):
     header = preprocess.CALIBRATED_HEADER if calibrated_header else preprocess.TICK_STATS_HEADER
     ticks = tmp_path / "ticks.csv"
     ticks.write_text(header + "\n")
-    flags = ["--use-calibrated"] if use_calibrated else []
-    assert run(["fit", "--input", str(ticks), "--out", str(tmp_path / "o"), *flags]) == 1
+    assert run(["fit", "--input", str(ticks), "--out", str(tmp_path / "o")]) == 1
     assert "need >= 3 points, got 0" in capsys.readouterr().err
 
 
@@ -197,10 +196,18 @@ GOOD_REPORT = {
         ({**GOOD_REPORT, "converged": "false"}, "bad value for 'converged': 'false'"),
         ({**GOOD_REPORT, "iterations": 7.5}, "bad value for 'iterations': 7.5"),
         ({**GOOD_REPORT, "model": {**GOOD_MODEL, "c_mm": True}}, "bad value for 'model.c_mm': True"),
+        ({**GOOD_REPORT, "model": {**GOOD_MODEL, "intensity_domain": [5000.0, 100.0]}},
+         "bad value for 'model.intensity_domain': [5000.0, 100.0]"),
+        ({**GOOD_REPORT, "model": {**GOOD_MODEL, "intensity_domain": [0.0, 100.0]}},
+         "bad value for 'model.intensity_domain': [0.0, 100.0]"),
+        ({**GOOD_REPORT, "model": {**GOOD_MODEL, "b": math.nan}}, "bad value for 'model.b': nan"),
+        ({**GOOD_REPORT, "model": {**GOOD_MODEL, "a_mm_per_unit_pow_b": -math.inf}},
+         "bad value for 'model.a_mm_per_unit_pow_b': -inf"),
     ],
     ids=["empty-object", "array", "model-array", "short-domain", "missing-a", "string-b",
          "bad-kind", "missing-iterations", "scalar-stddevs", "string-converged",
-         "float-iterations", "boolean-c"],
+         "float-iterations", "boolean-c", "reversed-domain", "zero-domain", "nan-b",
+         "infinite-a"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "compare", "vcm"])
 def test_malformed_model_record_exits_one_naming_the_key(tmp_path, capsys, record, message,
@@ -225,6 +232,18 @@ def test_malformed_model_record_exits_one_naming_the_key(tmp_path, capsys, recor
     # the well-formed record passes in the same place
     argv[argv.index(str(bad))] = str(good)
     assert run(argv) == 0
+
+
+def test_model_file_that_is_not_json_names_line_and_column(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{\n  "model": {,\n}\n')
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(preprocess.TICK_STATS_HEADER + "\n" + TICK_ROWS)
+    assert run(["evaluate", "--model", str(model), "--ticks", str(ticks),
+                "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: fit report: line 2 column 13: Expecting property name enclosed in double quotes\n"
+    )
 
 
 def test_inputs_ignore_a_byte_order_mark_and_name_a_bad_byte_line(tmp_path, capsys):
@@ -260,15 +279,6 @@ def test_usage_errors_exit_two(tmp_path):
     assert run(["--help"]) == 0
 
 
-def test_fit_use_calibrated_requires_calibrated_input(sim_cfg, tmp_path):
-    out = tmp_path / "w"
-    run(["simulate", "--config", str(sim_cfg), "--out", str(out)])
-    run(["preprocess", "--input", str(out / "scan.csv"), "--out", str(out)])
-    code = run(["fit", "--input", str(out / "ticks.csv"), "--out", str(out),
-                "--use-calibrated"])
-    assert code == 2
-
-
 def test_calibrate_defaults_to_mean_range(scaled_cfg, tmp_path, capsys):
     out = tmp_path / "s"
     run(["simulate", "--config", str(scaled_cfg), "--out", str(out)])
@@ -287,8 +297,7 @@ def test_calibrated_fit_and_evaluate_round(scaled_cfg, tmp_path, capsys):
     run(["preprocess", "--input", str(out / "scan.csv"), "--out", str(out)])
     run(["calibrate", "--input", str(out / "ticks.csv"), "--out", str(out),
          "--r-ref", "10"])
-    assert run(["fit", "--input", str(out / "ticks_calibrated.csv"), "--out", str(out),
-                "--use-calibrated"]) == 0
+    assert run(["fit", "--input", str(out / "ticks_calibrated.csv"), "--out", str(out)]) == 0
     report = fit.read_fit_report_json((out / "model.json").read_text())
     assert report.model.intensity_kind is ingest.IntensityKind.CALIBRATED
     capsys.readouterr()
@@ -296,6 +305,49 @@ def test_calibrated_fit_and_evaluate_round(scaled_cfg, tmp_path, capsys):
                 "--ticks", str(out / "ticks_calibrated.csv"), "--out", str(out)]) == 0
     assert (out / "evaluation.csv").exists()
     assert "rmse = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("calibrated", [False, True], ids=["plain", "calibrated"])
+@pytest.mark.parametrize("kind_flag", [[], ["--intensity-kind", "scaled"]], ids=["default", "scaled"])
+def test_fit_reads_the_intensity_kind_from_the_tick_table(tmp_path, calibrated, kind_flag):
+    rows = TICK_ROWS + "3,0.004,200.0,30.0,14.0,300\n"
+    if calibrated:  # calibrated intensities are twice the recorded ones
+        header = preprocess.CALIBRATED_HEADER
+        rows = "".join(f"{r},{2 * float(r.split(',')[2])!r}\n" for r in rows.splitlines())
+    else:
+        header = preprocess.TICK_STATS_HEADER
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(f"{header}\n{rows}")
+    assert run(["fit", "--input", str(ticks), "--out", str(tmp_path), *kind_flag]) == 0
+    model = fit.read_fit_report_json((tmp_path / "model.json").read_text()).model
+    expected = "calibrated" if calibrated else "scaled" if kind_flag else "raw"
+    assert model.intensity_kind is ingest.IntensityKind(expected)
+    assert model.intensity_domain == ((400.0, 3000.0) if calibrated else (200.0, 1500.0))
+
+
+def test_fit_that_overflows_exits_one_without_numpy_warnings(tmp_path, capsys):
+    # a scaled export whose intensities barely vary: the log-log start
+    # gives a = 0 and b = 21,500, so I**b overflows at every step
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(preprocess.TICK_STATS_HEADER + "\n" + "".join(
+        f"{i},0.00{i + 1},{intensity!r},10.0,{std!r},150\n" for i, (intensity, std) in enumerate([
+            (900000.0124404618, 0.32762890878839146), (900001.1532629032, 0.2891615925873693),
+            (899998.0437935555, 1.0125684981462886), (900000.4327355835, 1.1112229405037544),
+            (899986.9356885648, 4.260295176903639), (900029.7078261233, 4.26353100996704),
+        ])
+    ))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fit", "--input", str(ticks), "--out", str(out),
+                    "--intensity-kind", "scaled"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: fit cost is nan mm^2: the model or its squared residuals overflow "
+        "on the intensity domain [899987, 900030]\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_compare_subcommand(sim_cfg, tmp_path, capsys):
@@ -392,8 +444,7 @@ def test_pipeline_composes_the_subcommands(tmp_path, capsys, config):
         steps.append(["calibrate", "--input", str(ticks), "--out", str(chained), "--r-ref", "10"])
         ticks = chained / "ticks_calibrated.csv"
     steps += [
-        ["fit", "--input", str(ticks), "--out", str(chained), "--weight-by-count",
-         *(["--use-calibrated"] if scaled else [])],
+        ["fit", "--input", str(ticks), "--out", str(chained), "--weight-by-count"],
         ["evaluate", "--model", str(chained / "model.json"), "--ticks", str(ticks),
          "--out", str(chained)],
         ["vcm", "--input", str(chained / "scan.csv"), "--model", str(chained / "model.json"),
@@ -419,6 +470,13 @@ def test_write_atomic_uses_its_own_temporary_file(sim_cfg, tmp_path):
     assert run(["simulate", "--config", str(sim_cfg), "--out", str(out)]) == 0
     assert (out / "scan.csv").read_bytes() == (ref / "scan.csv").read_bytes()
     assert sorted(p.name for p in out.iterdir()) == ["ground_truth.csv", "scan.csv", "scan.csv.tmp"]
+
+
+def test_write_atomic_encodes_long_text_slice_by_slice(tmp_path):
+    # 1 MiB slices of this text start and end inside runs of 2- and 4-byte characters
+    text = "é" * 700_001 + "\U0001f600" * 500_000 + "\n"
+    _write_atomic(tmp_path / "long.txt", text)
+    assert (tmp_path / "long.txt").read_bytes() == text.encode("utf-8")
 
 
 def test_write_atomic_gives_open_mode_and_cleans_up(tmp_path, monkeypatch):
@@ -461,11 +519,46 @@ def test_sim_config_parse_errors(tmp_path, capsys):
         (SIM_CONFIG.replace("k_system = 1e7", "k_system = abc"),
          "line 3: cannot parse 'abc' in column 'k_system'"),
         (SIM_CONFIG.replace("seed = 11", "seed = 1.5"), "line 2: cannot parse '1.5' in column 'seed'"),
+        (SIM_CONFIG.replace("seed = 11", "seed = -1"), "config line 2: seed must be >= 0, got -1"),
         (SIM_CONFIG.replace("truth_c = 0.08", "truth_c = nan"),
          "line 6: non-finite value in column 'truth_c'"),
     ]:
         assert code_for(text) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (SIM_CONFIG + "board = 0.001 1000 0 1 150\n",  # sigma 3.3 km at 1 km
+         "board 3: drawn range -4573.257756197149 m is not finite and > 0 "
+         "(truth sigma = 3.27332e+06 mm at 1000 m)"),
+        (SIM_CONFIG + "scaling = custom_monotone\nscaling_true = 1 1e9\nscaling_recorded = -5 -1\n",
+         "board 0: recorded intensity -4.99964000399964 is not finite and >= 0"),
+    ],
+    ids=["negative-range", "negative-intensity"],
+)
+def test_simulate_refuses_boards_its_parser_would_refuse(tmp_path, capsys, command, config,
+                                                          message):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    flag = "--config" if command == "simulate" else "--simulate"
+    assert run([command, flag, str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_negative_seed_flag_exits_one_with_one_line(sim_cfg, tmp_path, capsys, command):
+    flag = "--config" if command == "simulate" else "--simulate"
+    out = tmp_path / "o"
+    assert run([command, flag, str(sim_cfg), "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_console_script_installed(tmp_path):

@@ -1,6 +1,8 @@
 """Model evaluation, starting values, and the damped least-squares fit."""
 
+import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -148,6 +150,17 @@ def test_guess_needs_three_points():
         initial_guess([(1e3, 1.0), (1e4, 0.5)])
 
 
+def test_guess_rejects_an_overflowing_amplitude():
+    # intensities that barely vary give a slope so steep that exp() of the
+    # intercept overflows; it used to escape as OverflowError
+    pts = [(900000.0124404618, 1.0), (900001.1532629032, 0.3),
+           (899998.0437935555, 4.2), (900000.4327355835, 1.1)]
+    with pytest.raises(RankDeficient, match="overflows a0"):
+        initial_guess(pts)
+    with pytest.raises(RankDeficient, match="overflows a0"):
+        fit_model(pts)
+
+
 # ---- fit ---------------------------------------------------------------------
 
 def test_noiseless_data_recovered_to_near_machine_precision():
@@ -202,6 +215,24 @@ def test_clamped_tail_raises_domain_violation():
     ]
     with pytest.raises(DomainViolation):
         fit_model(pts)
+
+
+def test_non_finite_cost_raises_domain_violation():
+    # squares of 1e300 overflow at any parameters; the fit used to return
+    # final_cost = inf and the writer put Infinity into model.json
+    pts = [(1e-300, 1.0), (1e-100, 1e100), (1e100, 1e200), (1e300, 1e300)]
+    with pytest.raises(DomainViolation, match="fit cost is inf mm\\^2"):
+        fit_model(pts)
+
+
+def test_overflowing_trial_steps_warn_nothing():
+    # some rejected LM steps overflow I**b; the fit still converges
+    pts = [(518.2150705228999, 0.02949094577250663), (1969.4425522869535, 0.03903990288570059),
+           (18368.196440312146, 0.004131797091790875), (20929.686830508334, 0.06565062393470664)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fit_model(pts)
+    assert rep.converged and math.isfinite(rep.final_cost)
 
 
 def test_hitting_iteration_cap_reports_not_converged():
@@ -321,6 +352,14 @@ def test_report_json_maps_nan_stddevs_to_null():
     back = read_fit_report_json(text)
     assert all(math.isnan(s) for s in back.parameter_stddevs)
     assert back.model == rep.model
+
+
+def test_report_json_is_strict_json():
+    rep = fit_model(exact_points(REF, [1e3, 2e3, 1e4, 1e5]))
+    text = fit_report_to_json(replace(rep, parameter_stddevs=(math.inf, -math.inf, math.nan)))
+    assert json.loads(text, parse_constant=pytest.fail)["parameter_stddevs"] == [None] * 3
+    with pytest.raises(ValueError):
+        fit_report_to_json(replace(rep, final_cost=math.inf))
 
 
 def test_model_constructor_validation():

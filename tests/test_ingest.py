@@ -1,6 +1,5 @@
 """Parsing, validation, and round-trip behavior of the scan CSV format."""
 
-import math
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +21,6 @@ from rangevar.errors import (
 )
 from rangevar.ingest import (
     IntensityKind,
-    ParseOptions,
     ScanDataset,
     ScanMeta,
     parse_profile_csv,
@@ -88,16 +86,9 @@ def test_wrong_field_count_reports_line():
 
 def test_lenient_mode_skips_and_counts():
     text = f"{HEADER}\n0,0.001,0.0,10.0,100.0\nbroken line,,\n0,0.002,0.0,-3.0,100.0\n0,0.003,0.0,10.0,90.0\n"
-    ds = parse_profile_csv(text, ParseOptions(lenient=True))
+    ds = parse_profile_csv(text, lenient=True)
     assert len(ds) == 2
     assert ds.skipped_rows == 2
-
-
-def test_degree_conversion():
-    text = f"{HEADER}\n0,90.0,180.0,10.0,100.0\n"
-    ds = parse_profile_csv(text, ParseOptions(angle_unit="deg"))
-    assert ds.vertical_angle[0] == pytest.approx(math.pi / 2)
-    assert ds.horizontal_angle[0] == pytest.approx(math.pi)
 
 
 def test_scaled_directive_sets_kind():
@@ -244,7 +235,7 @@ def test_errors_keep_their_line_across_blocks():
         with pytest.raises(MalformedRow) as err:
             parse_profile_csv(text)
         assert err.value.line_number == 7
-        ds = parse_profile_csv(text, ParseOptions(lenient=True))
+        ds = parse_profile_csv(text, lenient=True)
     assert ds.skipped_rows == 1
     assert ds.profile.tolist() == list(range(7))
 
@@ -255,7 +246,7 @@ def test_short_and_long_rows_do_not_pair_up():
     with pytest.raises(MalformedRow, match="expected 5 fields, got 4") as err:
         parse_profile_csv(text)
     assert err.value.line_number == 2
-    ds = parse_profile_csv(text + "0,0.003,0.0,10.0,1.0\n", ParseOptions(lenient=True))
+    ds = parse_profile_csv(text + "0,0.003,0.0,10.0,1.0\n", lenient=True)
     assert (ds.skipped_rows, len(ds)) == (2, 1)
 
 
@@ -381,18 +372,18 @@ def _scan_texts(draw):
     return eol.join(head) + eol + eol.join(body) + draw(st.sampled_from(["", eol]))
 
 
-def _library_outcome(text, lenient, unit):
+def _library_outcome(text, lenient):
     try:
-        ds = parse_profile_csv(text, ParseOptions(angle_unit=unit, lenient=lenient))
+        ds = parse_profile_csv(text, lenient=lenient)
     except RangevarError as exc:
         return type(exc), getattr(exc, "line_number", None)
     columns = [ds.profile.tolist()] + [getattr(ds, name).tobytes() for name in COLUMNS[1:]]
     return columns, ds.skipped_rows
 
 
-def _reference_outcome(text, lenient, unit):
+def _reference_outcome(text, lenient):
     try:
-        columns, skipped = ref_parse_scan(text, lenient=lenient, angle_unit=unit)
+        columns, skipped = ref_parse_scan(text, lenient=lenient)
     except RangevarError as exc:
         return type(exc), getattr(exc, "line_number", None)
     floats = [np.array(columns[name], dtype=float).tobytes() for name in COLUMNS[1:]]
@@ -422,12 +413,12 @@ def test_parser_matches_reference_on_edge_syntax(line, block_lines):
     text = f"{HEADER}\n0,0.001,0.0,10.0,1.0\n{line}\n"
     with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
         for lenient in (False, True):
-            assert _library_outcome(text, lenient, "rad") == _reference_outcome(text, lenient, "rad")
+            assert _library_outcome(text, lenient) == _reference_outcome(text, lenient)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_scan_texts(), st.sampled_from([1, 2, 3, 16384]), st.sampled_from(["rad", "deg", "gon"]))
-def test_parser_matches_row_by_row_reference(text, block_lines, unit):
+@given(_scan_texts(), st.sampled_from([1, 2, 3, 16384]))
+def test_parser_matches_row_by_row_reference(text, block_lines):
     with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
         for lenient in (False, True):
-            assert _library_outcome(text, lenient, unit) == _reference_outcome(text, lenient, unit)
+            assert _library_outcome(text, lenient) == _reference_outcome(text, lenient)
