@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import tempfile
@@ -253,6 +254,14 @@ def _add_fit_flags(p: argparse.ArgumentParser, include_kind: bool = True) -> Non
                        help="abscissa tag of an uncalibrated tick table")
 
 
+def _check_positive(args, *flags: str) -> None:
+    """Refuse a given flag value that is not finite and > 0, before any stage runs."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise _UsageError(f"{flag} must be finite and > 0, got {value!r}")
+
+
 def _preprocess_config(args) -> preprocess.PreprocessConfig:
     mode = (
         preprocess.TickMode.EXPLICIT_COLUMN
@@ -377,6 +386,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    _check_positive(args, "--r-ref")
     stats = preprocess.read_tick_stats_csv(_read_text(args.input))
     if not stats:
         raise EmptyStats(f"{args.input}: the tick table has no ticks")
@@ -417,6 +427,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_vcm(args) -> int:
+    _check_positive(args, "--sigma-vertical", "--sigma-horizontal")
     ds = ingest.parse_profile_csv(Path(args.input))
     model = fit_mod.read_fit_report_json(_read_text(args.model)).model
     _vcm(ds, model, args, Path(args.out))
@@ -426,6 +437,7 @@ def _cmd_vcm(args) -> int:
 def _cmd_pipeline(args) -> int:
     if (args.sigma_vertical is None) != (args.sigma_horizontal is None):
         raise _UsageError("--sigma-vertical and --sigma-horizontal must be given together")
+    _check_positive(args, "--r-ref", "--sigma-vertical", "--sigma-horizontal")
     pre_cfg = _preprocess_config(args)
     cfg = _sim_config(args.simulate, args.seed)
     out = Path(args.out)
@@ -479,3 +491,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyGrid, EmptyStats, NonPositiveIntensity
+from .errors import EmptyGrid, EmptyStats, MissingColumn, NonPositiveIntensity
 from .fit import RangeVarianceModel, evaluate_model
 from .ingest import IntensityKind, ScanDataset, csv_text
 from .preprocess import TickStats
@@ -71,12 +71,6 @@ class VcmBlocks:
     def __len__(self) -> int:
         return len(self.var_range_mm2)
 
-    def block(self, i: int) -> np.ndarray:
-        """The full 3x3 matrix of point i."""
-        return np.diag(
-            [self.var_range_mm2[i], self.var_vertical_rad2, self.var_horizontal_rad2]
-        )
-
 
 def rmse(residuals) -> float:
     """Root mean square of a residual vector."""
@@ -116,8 +110,7 @@ def evaluate_against_ticks(m: RangeVarianceModel, stats: list[TickStats]) -> Eva
     calibrated = m.intensity_kind is IntensityKind.CALIBRATED
     intensity = [t.calibrated_intensity if calibrated else t.mean_intensity for t in stats]
     if None in intensity:
-        tick = stats[intensity.index(None)]
-        raise ValueError(f"tick {tick.tick_id}: a calibrated model needs calibrated ticks")
+        raise MissingColumn("a calibrated model needs the tick table's calibrated_intensity column")
     arr = np.array(intensity, dtype=float)
     bad = np.flatnonzero(~(arr > 0))
     if bad.size:

@@ -145,7 +145,7 @@ def initial_guess(points) -> tuple[float, float, float]:
     ln(std_range - c0) on ln(I) over points with std_range > c0; when
     fewer than 3 points qualify, c0 falls back to 0. Raises RankDeficient
     when the regression is degenerate (constant abscissa, constant
-    shifted response, or a slope so steep that a0 overflows).
+    shifted response, or a slope so steep that a0 overflows or underflows).
     """
     intensity, std = _as_points(points)
     if intensity.size < 3:
@@ -174,7 +174,13 @@ def initial_guess(points) -> tuple[float, float, float]:
     try:
         a0 = math.exp(float(y.mean()) - b0 * float(x.mean()))
     except OverflowError:
-        raise RankDeficient(f"start exponent b0 = {b0:g} overflows a0; the intensities barely vary") from None
+        a0 = math.inf
+    if not 0.0 < a0 < math.inf:
+        lo, hi = float(intensity[usable].min()), float(intensity[usable].max())
+        raise RankDeficient(
+            f"start exponent b0 = {b0:g} {'overflows' if a0 else 'underflows'} a0; "
+            f"the intensities [{lo:g}, {hi:g}] barely vary"
+        )
     return a0, b0, c0
 
 

@@ -314,8 +314,8 @@ def read_tick_stats_csv(text: str) -> list[TickStats]:
 
     The header chooses the layout, with or without calibrated_intensity.
     Blank lines are skipped. Fields convert as scan fields do: a bad header,
-    field count or number, a non-finite float, std_range_mm < 0 or count < 1
-    raises MalformedRow naming its 1-based line.
+    field count or number, a non-finite float, mean_range_m <= 0,
+    std_range_mm < 0 or count < 1 raises MalformedRow naming its 1-based line.
     """
     numbered = ((n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1))
     lines = ((n, ln) for n, ln in numbered if ln)
@@ -334,6 +334,8 @@ def read_tick_stats_csv(text: str) -> list[TickStats]:
             parse_float(f[4], n, "std_range_mm"), parse_int(f[5], n, "count"),
             parse_float(f[6], n, "calibrated_intensity") if width == 7 else None,
         )
+        if tick.mean_range <= 0:
+            raise MalformedRow(n, f"mean_range_m must be > 0, got {tick.mean_range!r}")
         if tick.std_range < 0:
             raise MalformedRow(n, f"std_range_mm must be >= 0, got {tick.std_range!r}")
         if tick.count < 1:

@@ -145,7 +145,8 @@ def radar_intensity(k_system: float, rho: float, r: float, theta: float):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0):
         raise NonPositiveRange("range must be > 0")
-    result = k_system * rho * np.cos(theta) / r_arr**2
+    with np.errstate(over="ignore"):  # an overflow is refused as a non-finite intensity
+        result = k_system * rho * np.cos(theta) / r_arr**2
     return float(result) if np.isscalar(r) or r_arr.ndim == 0 else result
 
 

@@ -149,8 +149,11 @@ TICK_ROWS = "0,0.001,1500.0,10.0,1.5,300\n1,0.002,800.0,20.0,3.5,300\n2,0.003,40
         ("3,0.004,200.0,30.0,-0.5,300", "std_range_mm must be >= 0, got -0.5"),
         ("3,0.004,200.0,30.0,9.0,-3", "count must be >= 1, got -3"),
         ("3,0.004,200.0,30.0,9.0,0", "count must be >= 1, got 0"),
+        ("3,0.004,200.0,-15.0,9.0,300", "mean_range_m must be > 0, got -15.0"),
+        ("3,0.004,200.0,0.0,9.0,300", "mean_range_m must be > 0, got 0.0"),
     ],
-    ids=["nan-std", "inf-intensity", "negative-std", "negative-count", "zero-count"],
+    ids=["nan-std", "inf-intensity", "negative-std", "negative-count", "zero-count",
+         "negative-range", "zero-range"],
 )
 @pytest.mark.parametrize(
     "command", [["calibrate"], ["fit"], ["fit", "--weight-by-count"]],
@@ -327,7 +330,7 @@ def test_fit_reads_the_intensity_kind_from_the_tick_table(tmp_path, calibrated, 
 
 def test_fit_that_overflows_exits_one_without_numpy_warnings(tmp_path, capsys):
     # a scaled export whose intensities barely vary: the log-log start
-    # gives a = 0 and b = 21,500, so I**b overflows at every step
+    # gives b = 21,500 and a = 0, from which I**b would overflow at every step
     ticks = tmp_path / "ticks.csv"
     ticks.write_text(preprocess.TICK_STATS_HEADER + "\n" + "".join(
         f"{i},0.00{i + 1},{intensity!r},10.0,{std!r},150\n" for i, (intensity, std) in enumerate([
@@ -343,8 +346,8 @@ def test_fit_that_overflows_exits_one_without_numpy_warnings(tmp_path, capsys):
                     "--intensity-kind", "scaled"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: fit cost is nan mm^2: the model or its squared residuals overflow "
-        "on the intensity domain [899987, 900030]\n"
+        "error: start exponent b0 = 21500.9 underflows a0; "
+        "the intensities [899987, 900030] barely vary\n"
     )
     assert captured.out == ""
     assert not out.exists()
@@ -382,7 +385,7 @@ def test_vcm_subcommand(sim_cfg, tmp_path):
     assert run(["vcm", "--input", str(out / "scan.csv"),
                 "--model", str(out / "model.json"),
                 "--sigma-vertical", "-1", "--sigma-horizontal", "1e-5",
-                "--out", str(out)]) == 1
+                "--out", str(out)]) == 2
 
 
 def test_pipeline_raw(sim_cfg, tmp_path):
@@ -536,8 +539,11 @@ def test_sim_config_parse_errors(tmp_path, capsys):
          "(truth sigma = 3.27332e+06 mm at 1000 m)"),
         (SIM_CONFIG + "scaling = custom_monotone\nscaling_true = 1 1e9\nscaling_recorded = -5 -1\n",
          "board 0: recorded intensity -4.99964000399964 is not finite and >= 0"),
+        (SIM_CONFIG.replace("k_system = 1e7", "k_system = 1e308").replace(
+            "board = 0.9 10 0 2 150", "board = 0.9 1e-3 0 2 150"),
+         "board 0: recorded intensity inf is not finite and >= 0"),
     ],
-    ids=["negative-range", "negative-intensity"],
+    ids=["negative-range", "negative-intensity", "overflowing-intensity"],
 )
 def test_simulate_refuses_boards_its_parser_would_refuse(tmp_path, capsys, command, config,
                                                           message):
@@ -545,7 +551,9 @@ def test_simulate_refuses_boards_its_parser_would_refuse(tmp_path, capsys, comma
     cfg.write_text(config)
     out = tmp_path / "o"
     flag = "--config" if command == "simulate" else "--simulate"
-    assert run([command, flag, str(cfg), "--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the one-line error is all that is printed
+        assert run([command, flag, str(cfg), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
@@ -594,3 +602,70 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: rangevar")
     assert "pipeline" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["calibrate", "--input", "{w}/ticks.csv", "--r-ref", "-1"],
+         "--r-ref must be finite and > 0, got -1.0"),
+        (["calibrate", "--input", "{w}/ticks.csv", "--r-ref", "0"],
+         "--r-ref must be finite and > 0, got 0.0"),
+        (["calibrate", "--input", "{w}/ticks.csv", "--r-ref", "inf"],
+         "--r-ref must be finite and > 0, got inf"),
+        (["pipeline", "--simulate", "{cfg}", "--r-ref", "nan"],
+         "--r-ref must be finite and > 0, got nan"),
+        (["vcm", "--input", "{w}/scan.csv", "--model", "{w}/model.json",
+          "--sigma-vertical", "0", "--sigma-horizontal", "1e-5"],
+         "--sigma-vertical must be finite and > 0, got 0.0"),
+        (["vcm", "--input", "{w}/scan.csv", "--model", "{w}/model.json",
+          "--sigma-vertical", "1e-5", "--sigma-horizontal=-1e-5"],
+         "--sigma-horizontal must be finite and > 0, got -1e-05"),
+        (["pipeline", "--simulate", "{cfg}", "--sigma-vertical", "1e-5", "--sigma-horizontal", "0"],
+         "--sigma-horizontal must be finite and > 0, got 0.0"),
+    ],
+    ids=["calibrate-negative", "calibrate-zero", "calibrate-inf", "pipeline-nan",
+         "vcm-vertical", "vcm-horizontal", "pipeline-horizontal"],
+)
+def test_non_positive_flag_is_a_usage_error_before_any_output(scaled_cfg, tmp_path, capsys, argv,
+                                                              message):
+    work = tmp_path / "w"
+    assert run(["pipeline", "--simulate", str(scaled_cfg), "--out", str(work)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = [arg.format(w=work, cfg=scaled_cfg) for arg in argv]
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_calibrated_model_on_an_uncalibrated_table_names_the_column(scaled_cfg, tmp_path, capsys):
+    work = tmp_path / "w"
+    assert run(["pipeline", "--simulate", str(scaled_cfg), "--out", str(work)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run(["evaluate", "--model", str(work / "model.json"),
+                "--ticks", str(work / "ticks.csv"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: a calibrated model needs the tick table's calibrated_intensity column\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, code, stream, start",
+    [(["--help"], 0, "stdout", "usage: rangevar"),
+     (["validate", "--input", "missing.csv"], 1, "stderr", "error: ")],
+    ids=["help", "missing-input"],
+)
+def test_module_runs_as_a_script(tmp_path, args, code, stream, start):
+    src_dir = str(Path(rangevar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "rangevar.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert getattr(proc, stream).startswith(start)

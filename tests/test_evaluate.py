@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from rangevar.errors import EmptyGrid, EmptyStats, NonPositiveIntensity
+from rangevar.errors import EmptyGrid, EmptyStats, MissingColumn, NonPositiveIntensity
 from rangevar.evaluate import (
     AngularSigmas,
     EVALUATION_HEADER,
@@ -103,7 +103,7 @@ def test_domain_endpoints_count_as_inside():
 
 def test_calibrated_model_requires_calibrated_ticks():
     m = model(0.0, -1.0, 1.0, kind=IntensityKind.CALIBRATED)
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingColumn, match="calibrated_intensity"):
         evaluate_against_ticks(m, [tick(0, 1e4, 1.0)])
 
 
@@ -216,8 +216,9 @@ def test_single_observation_block():
     ds = make_dataset([(0, 0.001, 0.0, 10.0, 1e4)])
     blocks = build_vcm(ds, model(0.0, -1.0, 1.0), AngularSigmas(1e-5, 1e-5))
     assert len(blocks) == 1
-    expected = np.diag([1.0, 1e-10, 1e-10])
-    assert np.allclose(blocks.block(0), expected, rtol=1e-12)
+    assert np.allclose(blocks.var_range_mm2, [1.0], rtol=1e-12)
+    assert blocks.var_vertical_rad2 == pytest.approx(1e-10, rel=1e-12)
+    assert blocks.var_horizontal_rad2 == pytest.approx(1e-10, rel=1e-12)
 
 
 def test_blocks_are_diagonal_and_nonnegative():
@@ -226,11 +227,11 @@ def test_blocks_are_diagonal_and_nonnegative():
         make_dataset(rows), model(29853.0, -1.02, 0.08), AngularSigmas(2e-5, 3e-5)
     )
     assert len(blocks) == 6
-    for i in range(len(blocks)):
-        blk = blocks.block(i)
-        assert blk.shape == (3, 3)
-        assert np.all(blk == np.diag(np.diag(blk)))
-        assert np.all(np.diag(blk) >= 0)
+    # the off-diagonal terms are zero by construction: the type holds none
+    assert blocks.var_range_mm2.shape == (6,)
+    assert np.all(blocks.var_range_mm2 >= 0)
+    assert blocks.var_vertical_rad2 == pytest.approx(4e-10, rel=1e-12)
+    assert blocks.var_horizontal_rad2 == pytest.approx(9e-10, rel=1e-12)
 
 
 def test_range_variance_is_squared_model_prediction():

@@ -161,6 +161,20 @@ def test_guess_rejects_an_overflowing_amplitude():
         fit_model(pts)
 
 
+def test_guess_rejects_an_underflowing_amplitude():
+    # a scaled export's six uncalibrated ticks: the slope b0 = 21,500 makes
+    # exp() of the intercept underflow to a0 = 0, which used to surface as
+    # a nan fit cost blamed on overflow
+    pts = [(900000.0124404618, 0.32762890878839146), (900001.1532629032, 0.2891615925873693),
+           (899998.0437935555, 1.0125684981462886), (900000.4327355835, 1.1112229405037544),
+           (899986.9356885648, 4.260295176903639), (900029.7078261233, 4.26353100996704)]
+    message = r"b0 = 21500.9 underflows a0; the intensities \[899987, 900030\] barely vary"
+    with pytest.raises(RankDeficient, match=message):
+        initial_guess(pts)
+    with pytest.raises(RankDeficient, match=message):
+        fit_model(pts)
+
+
 # ---- fit ---------------------------------------------------------------------
 
 def test_noiseless_data_recovered_to_near_machine_precision():

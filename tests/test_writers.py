@@ -3,7 +3,9 @@
 Every writer builds its text through ingest.csv_text; each must give the
 bytes its own row loop gave, on the values where repr-formatting can go
 wrong: signed zero, subnormals, large and small floats, ints past 2**62,
-non-finite floats, empty tables, constant columns and bools.
+non-finite floats, empty tables, constant columns and bools. Numpy
+columns that repeat go through csv_text's one-repr-per-distinct-value
+path; the pool properties at the end force it.
 """
 
 from unittest import mock
@@ -135,3 +137,73 @@ def test_vcm_matches_the_row_writer(var_range, var_vertical, var_horizontal, blo
 def test_curve_matches_the_row_writer(a, b, c, lo, span, kind):
     model = RangeVarianceModel(a, b, c, (lo, lo * span), kind)
     assert _curve_csv(model) == ref_curve_csv(model)
+
+
+# Bit patterns that print alike or compare alike: both zeros, and NaNs with
+# different payloads and signs (all print "nan").
+FLOAT_POOL = np.concatenate([
+    np.array(EDGE_FLOATS),
+    np.array([0x7FF8000000000001, 0x7FF8000000000000, -(2**51)], dtype=np.int64).view(np.float64),
+])
+INT_POOL = np.array([2**62, -(2**62), 2**63 - 1, 0])
+POOL_BLOCK_LINES = st.sampled_from((1, 3, 1500, 16384))
+
+
+@st.composite
+def pool_columns(draw, pool, n=None):
+    """Up to 3,000 values drawn from pool, then random bit patterns.
+
+    The cut is often past csv_text's probe of a block's first values, so a
+    column can repeat inside the probe and not after it.
+    """
+    n = draw(st.integers(1, 3000)) if n is None else n
+    cut = min(n, draw(st.sampled_from((1024, 1025, 1500, n)) | st.integers(0, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = pool[rng.integers(len(pool), size=n)]
+    tail = rng.integers(-(2**63), 2**63 - 1, size=n - cut, dtype=np.int64, endpoint=True)
+    column[cut:] = tail.view(pool.dtype)
+    return column
+
+
+@st.composite
+def pool_datasets(draw):
+    n = draw(st.integers(1, 3000))
+    profile = draw(pool_columns(INT_POOL, n))
+    floats = [draw(pool_columns(FLOAT_POOL, n)) for _ in range(4)]
+    return ScanDataset(profile, *floats, draw(META))
+
+
+def zeros_and_nans(n):
+    """Both zeros and three NaN payloads, repeating: -0.0 must not print as 0.0."""
+    return np.resize(FLOAT_POOL[[0, 1, -3, -2, -1]], n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool_datasets(), POOL_BLOCK_LINES)
+@example(ScanDataset(np.resize(INT_POOL, 2000), *[zeros_and_nans(2000)] * 4, ScanMeta()), 1500)
+def test_repeating_scan_columns_match_the_row_writer(ds, block_lines):
+    with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
+        assert serialize_dataset(ds) == ref_serialize_dataset(ds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool_columns(FLOAT_POOL), FLOATS, FLOATS, POOL_BLOCK_LINES)
+@example(zeros_and_nans(3000), -0.0, 0.0, 16384)
+def test_repeating_vcm_column_matches_the_row_writer(var_range, var_vertical, var_horizontal,
+                                                     block_lines):
+    blocks = VcmBlocks(var_range, var_vertical, var_horizontal)
+    with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
+        assert vcm_to_csv(blocks) == ref_vcm_to_csv(blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(EDGE_FLOATS), st.sampled_from((0.0, -0.0, 400.0, -400.0)),
+    st.sampled_from(EDGE_FLOATS), st.sampled_from(((1e-3, 1e3), (1e-3, 1.0), (1.0, 2.0))),
+    POOL_BLOCK_LINES,
+)
+def test_repeating_curve_matches_the_row_writer(a, b, c, domain, block_lines):
+    """b = 0 gives a constant curve; b = +-400 underflows or overflows to repeats at one end."""
+    model = RangeVarianceModel(a, b, c, domain, IntensityKind.RAW)
+    with np.errstate(all="ignore"), mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
+        assert _curve_csv(model) == ref_curve_csv(model)
