@@ -14,7 +14,6 @@ from .errors import RangevarError
 from .evaluate import (
     AngularSigmas,
     EvaluationReport,
-    ResidualRow,
     VcmBlocks,
     build_vcm,
     compare_models,
@@ -57,7 +56,6 @@ from .simulate import (
     Board,
     CustomMonotoneScaling,
     GroundTruth,
-    GroundTruthTick,
     InverseSquareScaling,
     OutlierInjection,
     SimulationConfig,
@@ -76,14 +74,12 @@ __all__ = [
     "FitOptions",
     "FitReport",
     "GroundTruth",
-    "GroundTruthTick",
     "IntensityKind",
     "InverseSquareScaling",
     "OutlierInjection",
     "PreprocessConfig",
     "RangeVarianceModel",
     "RangevarError",
-    "ResidualRow",
     "ScanDataset",
     "ScanMeta",
     "SimulationConfig",

@@ -290,7 +290,7 @@ def _simulate(cfg: simulate.SimulationConfig, out: Path) -> ingest.ScanDataset:
     _write_atomic(out / "scan.csv", ingest.serialize_dataset(ds))
     _write_atomic(out / "ground_truth.csv", simulate.ground_truth_to_csv(truth))
     print(
-        f"simulated {len(ds)} observations over {len(truth.ticks)} ticks "
+        f"simulated {len(ds)} observations over {len(truth.tick_id)} ticks "
         f"({ds.meta.intensity_kind.value} intensities) -> {out}"
     )
     return ds
@@ -306,7 +306,10 @@ def _preprocess(ds: ingest.ScanDataset, cfg: preprocess.PreprocessConfig, out: P
 
 def _calibrate(stats: list, r_ref: float | None, out: Path) -> list:
     if r_ref is None:
-        r_ref = float(np.mean([s.mean_range for s in stats]))
+        with np.errstate(over="ignore"):  # finite ranges can sum past the float range
+            r_ref = float(np.mean([s.mean_range for s in stats]))
+        if not math.isfinite(r_ref):
+            raise RangevarError(f"the mean of the tick mean ranges is {r_ref!r} m; pass --r-ref")
         print(f"r_ref = {r_ref!r} m (mean of tick mean ranges)")
     else:
         print(f"r_ref = {r_ref!r} m")

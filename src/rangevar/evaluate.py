@@ -8,7 +8,7 @@ their observed intensity span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,29 +18,28 @@ from .ingest import IntensityKind, ScanDataset, csv_text
 from .preprocess import TickStats
 
 
-@dataclass(frozen=True)
-class ResidualRow:
-    """One evaluated tick (or grid point, for model comparisons)."""
-
-    tick_id: int
-    intensity: float
-    observed_std: float   # mm
-    predicted_std: float  # mm
-    residual: float       # mm, predicted - observed
-    extrapolated: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    """Per-tick residuals plus the two summary metrics (mm)."""
+    """Per-tick residual columns plus the two summary metrics (mm).
 
-    residuals: tuple[ResidualRow, ...]
+    Row i of every column is one evaluated tick (or grid point, for model
+    comparisons): tick_id (int64), intensity, observed_std and
+    predicted_std (mm), residuals (mm, predicted - observed) and
+    extrapolated (bool). Equality is identity; compare columns with numpy.
+    """
+
+    tick_id: np.ndarray
+    intensity: np.ndarray
+    observed_std: np.ndarray
+    predicted_std: np.ndarray
+    residuals: np.ndarray
+    extrapolated: np.ndarray
     rmse: float
     max_abs_residual: float
 
     @property
     def extrapolated_count(self) -> int:
-        return sum(1 for r in self.residuals if r.extrapolated)
+        return int(np.count_nonzero(self.extrapolated))
 
 
 @dataclass(frozen=True)
@@ -88,14 +87,13 @@ def max_abs_residual(residuals) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def _report(ids, intensity, observed, predicted: np.ndarray, inside: np.ndarray) -> EvaluationReport:
-    """Rows of predicted minus observed; intensity and observed are Python floats."""
-    residual = predicted - np.asarray(observed, dtype=float)
-    rows = tuple(map(
-        ResidualRow, ids, intensity, observed,
-        map(float, predicted), map(float, residual), map(bool, ~inside),
-    ))
-    return EvaluationReport(rows, rmse(residual), max_abs_residual(residual))
+def _report(tick_id, intensity, observed, predicted, inside) -> EvaluationReport:
+    """The report of predicted minus observed; every argument is a numpy column."""
+    residuals = predicted - observed
+    return EvaluationReport(
+        tick_id, intensity, observed, predicted, residuals, ~inside,
+        rmse(residuals), max_abs_residual(residuals),
+    )
 
 
 def evaluate_against_ticks(m: RangeVarianceModel, stats: list[TickStats]) -> EvaluationReport:
@@ -117,7 +115,8 @@ def evaluate_against_ticks(m: RangeVarianceModel, stats: list[TickStats]) -> Eva
         raise NonPositiveIntensity(f"tick {stats[bad[0]].tick_id}: intensity {intensity[bad[0]]!r}")
     lo, hi = m.intensity_domain
     return _report(
-        [t.tick_id for t in stats], intensity, [t.std_range for t in stats],
+        np.array([t.tick_id for t in stats], dtype=np.int64), arr,
+        np.array([t.std_range for t in stats], dtype=float),
         evaluate_model(m, arr), (lo <= arr) & (arr <= hi),
     )
 
@@ -127,11 +126,11 @@ def compare_models(
 ) -> EvaluationReport:
     """Pointwise model difference m1(I) - m2(I) over an intensity grid.
 
-    Rows reuse the report shape: predicted_std holds m1, observed_std
+    The report's columns are reused: predicted_std holds m1, observed_std
     holds m2, tick_id is the grid index. A point is flagged extrapolated
     unless it lies inside both models' domains.
     """
-    arr = np.asarray(grid, dtype=float)
+    arr = np.array(grid, dtype=float)  # a copy: the report keeps it as its intensity column
     if arr.size == 0:
         raise EmptyGrid("empty intensity grid")
     if np.any(arr <= 0):
@@ -139,8 +138,8 @@ def compare_models(
     (lo1, hi1), (lo2, hi2) = m1.intensity_domain, m2.intensity_domain
     inside = (lo1 <= arr) & (arr <= hi1) & (lo2 <= arr) & (arr <= hi2)
     return _report(
-        range(arr.size), arr.tolist(), evaluate_model(m2, arr).tolist(),
-        evaluate_model(m1, arr), inside,
+        np.arange(arr.size, dtype=np.int64), arr,
+        evaluate_model(m2, arr), evaluate_model(m1, arr), inside,
     )
 
 
@@ -172,8 +171,8 @@ VCM_HEADER = "index,var_range_mm2,var_vert_rad2,var_horiz_rad2"
 
 def evaluation_report_to_csv(report: EvaluationReport) -> str:
     """Per-tick rows plus a summary footer (as comment lines)."""
-    columns = [[getattr(r, f.name) for r in report.residuals] for f in fields(ResidualRow)]
-    columns[-1] = [int(extrapolated) for extrapolated in columns[-1]]
+    columns = [report.tick_id, report.intensity, report.observed_std, report.predicted_std,
+               report.residuals, report.extrapolated.astype(np.int64)]
     return csv_text([EVALUATION_HEADER], columns, [
         f"#rmse_mm={report.rmse!r}",
         f"#max_abs_residual_mm={report.max_abs_residual!r}",

@@ -170,17 +170,23 @@ def parse_int(text: str, line_number: int, column: str) -> int:
         raise MalformedRow(line_number, f"cannot parse '{text}' in column '{column}'") from None
 
 
+def parse_index(text: str, line_number: int, column: str, low: int = 0) -> int:
+    """An int() field that fits an int64 column, low <= value < 2**63, else MalformedRow."""
+    value = parse_int(text, line_number, column)
+    if value < low:
+        raise MalformedRow(line_number, f"{column} must be >= {low}, got {value}")
+    if value >= 2**63:
+        raise MalformedRow(line_number, f"{column} must be < 2**63, got {value}")
+    return value
+
+
 def _parse_row(line: str, line_number: int, positions: list[int]) -> tuple:
     """One stripped data line as (profile, vertical, horizontal, range, intensity)."""
     fields = line.split(",")
     if len(fields) != len(_COLUMNS):
         raise MalformedRow(line_number, f"expected {len(_COLUMNS)} fields, got {len(fields)}")
     p_prof, p_vert, p_horiz, p_range, p_inten = positions
-    profile = parse_int(fields[p_prof], line_number, "profile")
-    if profile < 0:
-        raise MalformedRow(line_number, f"profile index must be >= 0, got {profile}")
-    if profile >= 2**63:
-        raise MalformedRow(line_number, f"profile index must be < 2**63, got {profile}")
+    profile = parse_index(fields[p_prof], line_number, "profile")
     vert = parse_float(fields[p_vert], line_number, "vertical_angle")
     horiz = parse_float(fields[p_horiz], line_number, "horizontal_angle")
     rng = parse_float(fields[p_range], line_number, "range")

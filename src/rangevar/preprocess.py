@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
-from .ingest import ScanDataset, csv_text, parse_float, parse_int
+from .ingest import ScanDataset, csv_text, parse_float, parse_index
 
 # A boolean array aligned with a TickGroup's members; True = exclude.
 OutlierMask = np.ndarray
@@ -210,20 +210,14 @@ def _blocks(groups: list[TickGroup]):
             )
 
 
-def detect_outliers(
-    groups: TickGroup | list[TickGroup], cfg: PreprocessConfig
-) -> OutlierMask | list[OutlierMask]:
-    """Boolean mask of members to exclude, per the dual mean/median rule.
+def detect_outliers(groups: list[TickGroup], cfg: PreprocessConfig) -> list[OutlierMask]:
+    """Boolean masks of members to exclude, per the dual mean/median rule.
 
-    Given one TickGroup, returns its mask; given a list, returns one mask
-    per group, in order, computed together from stacked equal-length
-    groups. Every group needs >= 2 members. Flags on either channel
-    (range or intensity) mark the member: a corrupt return corrupts both
-    uses of the tick.
+    Returns one mask per group, in order, computed together from stacked
+    equal-length groups. Every group needs >= 2 members. Flags on either
+    channel (range or intensity) mark the member: a corrupt return
+    corrupts both uses of the tick.
     """
-    single = isinstance(groups, TickGroup)
-    if single:
-        groups = [groups]
     for group in groups:
         if len(group) < 2:
             raise TooFewValues(f"tick {group.tick_id}: need >= 2 members, got {len(group)}")
@@ -238,7 +232,7 @@ def detect_outliers(
             flags |= np.abs(values - median[:, None]) > k * _spread(values, median)[:, None]
         for position, row in zip(positions, flags):
             masks[position] = row
-    return masks[0] if single else masks
+    return masks
 
 
 def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> list[TickStats]:
@@ -314,8 +308,9 @@ def read_tick_stats_csv(text: str) -> list[TickStats]:
 
     The header chooses the layout, with or without calibrated_intensity.
     Blank lines are skipped. Fields convert as scan fields do: a bad header,
-    field count or number, a non-finite float, mean_range_m <= 0,
-    std_range_mm < 0 or count < 1 raises MalformedRow naming its 1-based line.
+    field count or number, a non-finite float, a tick_id outside [0, 2**63),
+    a count outside [1, 2**63), mean_range_m <= 0 or std_range_mm < 0 raises
+    MalformedRow naming its 1-based line.
     """
     numbered = ((n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1))
     lines = ((n, ln) for n, ln in numbered if ln)
@@ -329,16 +324,14 @@ def read_tick_stats_csv(text: str) -> list[TickStats]:
         if len(f) != width:
             raise MalformedRow(n, f"expected {width} fields, got {len(f)}")
         tick = TickStats(
-            parse_int(f[0], n, "tick_id"), parse_float(f[1], n, "vertical_angle_center"),
+            parse_index(f[0], n, "tick_id"), parse_float(f[1], n, "vertical_angle_center"),
             parse_float(f[2], n, "mean_intensity"), parse_float(f[3], n, "mean_range_m"),
-            parse_float(f[4], n, "std_range_mm"), parse_int(f[5], n, "count"),
+            parse_float(f[4], n, "std_range_mm"), parse_index(f[5], n, "count", 1),
             parse_float(f[6], n, "calibrated_intensity") if width == 7 else None,
         )
         if tick.mean_range <= 0:
             raise MalformedRow(n, f"mean_range_m must be > 0, got {tick.mean_range!r}")
         if tick.std_range < 0:
             raise MalformedRow(n, f"std_range_mm must be >= 0, got {tick.std_range!r}")
-        if tick.count < 1:
-            raise MalformedRow(n, f"count must be >= 1, got {tick.count}")
         stats.append(tick)
     return stats

@@ -122,21 +122,19 @@ class SimulationConfig:
             raise InvalidConfig(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class GroundTruthTick:
-    """What the simulator knows about one tick."""
-
-    tick_id: int
-    vertical_angle: float   # rad
-    true_intensity: float
-    true_sigma_mm: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Per-tick truth plus the dataset indices of injected outliers."""
+    """Per-tick truth columns plus the dataset indices of injected outliers.
 
-    ticks: tuple[GroundTruthTick, ...]
+    Row i of every column is tick i: tick_id (int64), vertical_angle
+    (rad), true_intensity and true_sigma_mm. Equality is identity;
+    compare columns with numpy.
+    """
+
+    tick_id: np.ndarray
+    vertical_angle: np.ndarray
+    true_intensity: np.ndarray
+    true_sigma_mm: np.ndarray
     outlier_indices: tuple[int, ...]
 
 
@@ -166,7 +164,7 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.boards))
 
     columns: list[tuple[np.ndarray, ...]] = []
-    truth_ticks: list[GroundTruthTick] = []
+    truth_columns: list[tuple[np.ndarray, ...]] = []
     outlier_blocks: list[np.ndarray] = []
     global_tick = 0
     row_offset = 0
@@ -221,15 +219,12 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
                 "is not finite and >= 0"
             )
 
-        truth_ticks.extend(
-            GroundTruthTick(
-                tick_id=global_tick + t,
-                vertical_angle=angle,
-                true_intensity=intensity_true,
-                true_sigma_mm=sigma_mm,
-            )
-            for t, angle in enumerate(angles.tolist())
-        )
+        truth_columns.append((
+            np.arange(global_tick, global_tick + n_ticks, dtype=np.int64),
+            angles,
+            np.full(n_ticks, intensity_true),
+            np.full(n_ticks, sigma_mm),
+        ))
         columns.append((
             np.repeat(np.arange(n_prof), n_ticks),
             np.tile(angles, n_prof),
@@ -244,7 +239,8 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
     meta = ScanMeta(scanner_id="synthetic", intensity_kind=kind)
     dataset = ScanDataset(*(np.concatenate(c) for c in zip(*columns)), meta)
     outliers = np.sort(np.concatenate(outlier_blocks)) if outlier_blocks else np.empty(0, np.int64)
-    return dataset, GroundTruth(tuple(truth_ticks), tuple(outliers.tolist()))
+    truth = (np.concatenate(c) for c in zip(*truth_columns))
+    return dataset, GroundTruth(*truth, tuple(outliers.tolist()))
 
 
 # ---- CSV interface -----------------------------------------------------------
@@ -254,5 +250,4 @@ GROUND_TRUTH_HEADER = "tick_id,true_intensity,true_sigma_mm"
 
 def ground_truth_to_csv(gt: GroundTruth) -> str:
     """Sidecar CSV of per-tick truth."""
-    names = ("tick_id", "true_intensity", "true_sigma_mm")
-    return csv_text([GROUND_TRUTH_HEADER], [[getattr(t, name) for t in gt.ticks] for name in names])
+    return csv_text([GROUND_TRUTH_HEADER], [gt.tick_id, gt.true_intensity, gt.true_sigma_mm])

@@ -14,7 +14,9 @@ the independent path.
 
 The ref_*_csv writers and ref_serialize_dataset are the table writers as
 each module wrote its own rows before they shared ingest.csv_text, copied
-unchanged apart from their names; their bytes are the baseline.
+unchanged apart from their names; their bytes are the baseline. The
+ground-truth and evaluation writers zip their report's columns into the
+rows they once read from per-row objects.
 """
 
 import math
@@ -372,22 +374,29 @@ def ref_tick_stats_to_csv(stats):
 
 def ref_ground_truth_to_csv(gt):
     lines = [GROUND_TRUTH_HEADER]
-    for tick in gt.ticks:
-        lines.append(f"{tick.tick_id},{tick.true_intensity!r},{tick.true_sigma_mm!r}")
+    columns = (gt.tick_id.tolist(), gt.true_intensity.tolist(), gt.true_sigma_mm.tolist())
+    for tick_id, true_intensity, true_sigma_mm in zip(*columns):
+        lines.append(f"{tick_id},{true_intensity!r},{true_sigma_mm!r}")
     lines.append("")
     return "\n".join(lines)
 
 
 def ref_evaluation_report_to_csv(report):
     lines = [EVALUATION_HEADER]
-    for r in report.residuals:
+    columns = (report.tick_id, report.intensity, report.observed_std, report.predicted_std,
+               report.residuals, report.extrapolated)
+    extrapolated_count = 0
+    for tick_id, intensity, observed, predicted, residual, extrapolated in zip(
+        *(column.tolist() for column in columns)
+    ):
         lines.append(
-            f"{r.tick_id},{r.intensity!r},{r.observed_std!r},{r.predicted_std!r},"
-            f"{r.residual!r},{int(r.extrapolated)}"
+            f"{tick_id},{intensity!r},{observed!r},{predicted!r},"
+            f"{residual!r},{int(extrapolated)}"
         )
+        extrapolated_count += extrapolated
     lines.append(f"#rmse_mm={report.rmse!r}")
     lines.append(f"#max_abs_residual_mm={report.max_abs_residual!r}")
-    lines.append(f"#extrapolated_count={report.extrapolated_count}")
+    lines.append(f"#extrapolated_count={extrapolated_count}")
     lines.append("")
     return "\n".join(lines)
 

@@ -157,7 +157,7 @@ def test_criterion_03_calibration_collapse():
     stats = preprocess(ds, PreprocessConfig(max_passes=0))
     calibrated = calibrate_ticks(stats, CalibrationConfig(10.0))
 
-    truth_by_angle = {t.vertical_angle: t.true_intensity for t in truth.ticks}
+    truth_by_angle = dict(zip(truth.vertical_angle.tolist(), truth.true_intensity.tolist()))
     cal_err = max(
         abs(c.calibrated_intensity - truth_by_angle[c.vertical_angle_center])
         / truth_by_angle[c.vertical_angle_center]
@@ -189,14 +189,14 @@ def test_criterion_04_outlier_rule_fidelity():
     values[injected_idx] += rng.choice((-1.0, 1.0), 100) * 10 * sigma
 
     group = TickGroup(0, 0.0, values, np.full(n, 5000.0))
-    mask = detect_outliers(group, PreprocessConfig())
+    mask = detect_outliers([group], PreprocessConfig())[0]
     injected = np.zeros(n, bool)
     injected[injected_idx] = True
     frac_injected = float(mask[injected].mean())
     frac_clean = float(mask[~injected].mean())
 
     clean_group = TickGroup(0, 0.0, clean, np.full(n, 5000.0))
-    frac_fully_clean = float(detect_outliers(clean_group, PreprocessConfig()).mean())
+    frac_fully_clean = float(detect_outliers([clean_group], PreprocessConfig())[0].mean())
 
     ok = frac_injected >= 0.99 and frac_clean <= 0.01 and frac_fully_clean <= 0.008
     _verdict(

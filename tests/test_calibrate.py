@@ -131,7 +131,7 @@ def test_simulator_inverse_square_recovers_truth_to_1e9():
     # from the value the scaling was generated with
     stats = preprocess(ds, PreprocessConfig(max_passes=0))
     cal = calibrate_ticks(stats, CalibrationConfig(10.0))
-    truth_by_id = {t.tick_id: t.true_intensity for t in truth.ticks}
+    truth_by_id = dict(zip(truth.tick_id.tolist(), truth.true_intensity.tolist()))
     for c in cal:
         expected = truth_by_id[c.tick_id]
         assert abs(c.calibrated_intensity - expected) / expected < 1e-9

@@ -138,6 +138,22 @@ def test_calibrate_header_only_tick_table_names_the_empty_table(tmp_path, capsys
     assert captured.out == ""
 
 
+def test_calibrate_refuses_a_mean_range_that_overflows(tmp_path, capsys):
+    # three finite ranges of 1e308 m sum past the largest float
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(preprocess.TICK_STATS_HEADER + "\n" + "".join(
+        f"{i},0.00{i + 1},1500.0,1e308,1.5,300\n" for i in range(3)
+    ))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["calibrate", "--input", str(ticks), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the mean of the tick mean ranges is inf m; pass --r-ref\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 TICK_ROWS = "0,0.001,1500.0,10.0,1.5,300\n1,0.002,800.0,20.0,3.5,300\n2,0.003,400.0,40.0,7.0,300\n"
 
 
@@ -151,9 +167,11 @@ TICK_ROWS = "0,0.001,1500.0,10.0,1.5,300\n1,0.002,800.0,20.0,3.5,300\n2,0.003,40
         ("3,0.004,200.0,30.0,9.0,0", "count must be >= 1, got 0"),
         ("3,0.004,200.0,-15.0,9.0,300", "mean_range_m must be > 0, got -15.0"),
         ("3,0.004,200.0,0.0,9.0,300", "mean_range_m must be > 0, got 0.0"),
+        (f"3,0.004,200.0,30.0,9.0,{10**400}", f"count must be < 2**63, got {10**400}"),
+        (f"{10**20},0.004,200.0,30.0,9.0,300", f"tick_id must be < 2**63, got {10**20}"),
     ],
     ids=["nan-std", "inf-intensity", "negative-std", "negative-count", "zero-count",
-         "negative-range", "zero-range"],
+         "negative-range", "zero-range", "count-past-int64", "tick-id-past-int64"],
 )
 @pytest.mark.parametrize(
     "command", [["calibrate"], ["fit"], ["fit", "--weight-by-count"]],
@@ -567,6 +585,12 @@ def test_negative_seed_flag_exits_one_with_one_line(sim_cfg, tmp_path, capsys, c
     assert run([command, flag, str(sim_cfg), "--out", str(out), "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
     assert not out.exists()
+
+
+def test_every_exported_name_resolves():
+    assert len(set(rangevar.__all__)) == len(rangevar.__all__)
+    missing = [name for name in rangevar.__all__ if not hasattr(rangevar, name)]
+    assert missing == []
 
 
 def test_console_script_installed(tmp_path):

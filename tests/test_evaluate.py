@@ -1,8 +1,6 @@
 """Residual metrics, model comparison grids, and VCM blocks."""
 
 import math
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,15 +73,15 @@ def test_exact_ticks_give_zero_residuals():
     rep = evaluate_against_ticks(m, ticks)
     assert rep.rmse == 0.0
     assert rep.max_abs_residual == 0.0
-    assert all(r.residual == 0.0 for r in rep.residuals)
+    assert rep.residuals.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_residual_is_predicted_minus_observed():
     m = model(0.0, -1.0, 1.0)  # constant prediction of 1 mm
     rep = evaluate_against_ticks(m, [tick(0, 1e4, 0.95)])
-    assert rep.residuals[0].residual == pytest.approx(0.05)
-    assert rep.residuals[0].predicted_std == 1.0
-    assert rep.residuals[0].observed_std == 0.95
+    assert rep.residuals[0] == pytest.approx(0.05)
+    assert rep.predicted_std[0] == 1.0
+    assert rep.observed_std[0] == 0.95
 
 
 def test_out_of_domain_ticks_flagged_not_dropped():
@@ -91,7 +89,7 @@ def test_out_of_domain_ticks_flagged_not_dropped():
     ticks = [tick(0, 500.0, 1.0), tick(1, 5e3, 1.0), tick(2, 2e4, 1.0)]
     rep = evaluate_against_ticks(m, ticks)
     assert len(rep.residuals) == 3
-    assert [r.extrapolated for r in rep.residuals] == [True, False, True]
+    assert rep.extrapolated.tolist() == [True, False, True]
     assert rep.extrapolated_count == 2
 
 
@@ -112,14 +110,21 @@ def test_calibrated_model_reads_calibrated_abscissa():
     # raw mean intensity would predict 1/100; calibrated must win
     ct = TickStats(0, 0.001, 100.0, 10.0, 0.5, 50, calibrated_intensity=2.0)
     rep = evaluate_against_ticks(m, [ct])
-    assert rep.residuals[0].intensity == 2.0
-    assert rep.residuals[0].predicted_std == pytest.approx(0.5)
+    assert rep.intensity[0] == 2.0
+    assert rep.predicted_std[0] == pytest.approx(0.5)
+
+
+COLUMN_DTYPES = {
+    "tick_id": np.int64, "intensity": np.float64, "observed_std": np.float64,
+    "predicted_std": np.float64, "residuals": np.float64, "extrapolated": np.bool_,
+}
 
 
 def _rows(report):
-    rows = [astuple(r) for r in report.residuals]
-    assert all(type(v) in (int, float, bool) for row in rows for v in row)
-    return rows
+    columns = [getattr(report, name) for name in COLUMN_DTYPES]
+    assert [c.dtype for c in columns] == list(COLUMN_DTYPES.values())
+    assert len({c.shape for c in columns}) == 1
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 PARAMS = st.tuples(
@@ -165,8 +170,8 @@ def test_offset_pair_differs_by_the_offset():
     m1 = model(29853.0, -1.02, 0.08)
     m2 = model(29853.0, -1.02, 0.13)
     rep = compare_models(m1, m2, [1e3, 1e4, 1e5])
-    for row in rep.residuals:
-        assert row.residual == pytest.approx(-0.05, rel=1e-12)
+    for residual in rep.residuals:
+        assert residual == pytest.approx(-0.05, rel=1e-12)
     assert rep.max_abs_residual == pytest.approx(0.05, rel=1e-12)
 
 
@@ -177,15 +182,15 @@ def test_comparison_is_antisymmetric():
     fwd = compare_models(m1, m2, grid)
     rev = compare_models(m2, m1, grid)
     for a, b in zip(fwd.residuals, rev.residuals):
-        assert a.residual == pytest.approx(-b.residual, rel=1e-12)
+        assert a == pytest.approx(-b, rel=1e-12)
 
 
 def test_comparison_flags_points_outside_either_domain():
     m1 = model(1.0, -1.0, 0.1, domain=(1e2, 1e4))
     m2 = model(1.0, -1.0, 0.1, domain=(1e3, 1e5))
     rep = compare_models(m1, m2, [5e2, 5e3, 5e4])
-    assert [r.extrapolated for r in rep.residuals] == [True, False, True]
-    assert rep.residuals[1].tick_id == 1
+    assert rep.extrapolated.tolist() == [True, False, True]
+    assert rep.tick_id[1] == 1
 
 
 def test_comparison_grid_validation():

@@ -36,6 +36,12 @@ def config(**overrides):
     return SimulationConfig(**base)
 
 
+def truth_rows(truth):
+    """(tick_id, vertical_angle, true_intensity, true_sigma_mm) of each tick, as Python values."""
+    columns = (truth.tick_id, truth.vertical_angle, truth.true_intensity, truth.true_sigma_mm)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 # ---- radar equation ----------------------------------------------------------
 
 def test_radar_linear_in_k_and_reflectivity():
@@ -114,8 +120,9 @@ def test_scaling_table_validation():
 def test_global_tick_ladder_and_row_counts():
     ds, truth = simulate_profiles(config())
     assert len(ds) == 2 * 50 + 3 * 40
-    assert [t.tick_id for t in truth.ticks] == [0, 1, 2, 3, 4]
-    assert [t.vertical_angle for t in truth.ticks] == pytest.approx(
+    assert truth.tick_id.dtype == np.int64
+    assert truth.tick_id.tolist() == [0, 1, 2, 3, 4]
+    assert truth.vertical_angle.tolist() == pytest.approx(
         [(i + 1) * TICK_STEP for i in range(5)]
     )
 
@@ -136,19 +143,19 @@ def test_truth_matches_radar_equation_and_model():
     _, truth = simulate_profiles(cfg)
     a, b, c = TRUTH
     board_of_tick = [cfg.boards[0]] * 2 + [cfg.boards[1]] * 3
-    for t, board in zip(truth.ticks, board_of_tick):
+    for (_, _, true_intensity, true_sigma_mm), board in zip(truth_rows(truth), board_of_tick):
         expect_i = radar_intensity(
             cfg.k_system, board.reflectivity, board.distance, board.incidence_angle
         )
-        assert t.true_intensity == pytest.approx(expect_i, rel=1e-14)
-        assert t.true_sigma_mm == pytest.approx(a * expect_i**b + c, rel=1e-14)
+        assert true_intensity == pytest.approx(expect_i, rel=1e-14)
+        assert true_sigma_mm == pytest.approx(a * expect_i**b + c, rel=1e-14)
 
 
 def test_ranges_distributed_around_board_distance():
     cfg = SimulationConfig(1e7, (Board(0.5, 10.0, 0.0, 1, 4000),), TRUTH, seed=3)
     ds, truth = simulate_profiles(cfg)
     r = ds.range
-    sigma_m = truth.ticks[0].true_sigma_mm / 1000.0
+    sigma_m = truth.true_sigma_mm[0] / 1000.0
     assert abs(r.mean() - 10.0) < 5 * sigma_m / math.sqrt(len(r))
     assert r.std(ddof=1) == pytest.approx(sigma_m, rel=0.15)
 
@@ -160,7 +167,7 @@ def test_bit_identical_for_identical_configs():
     d2, t2 = simulate_profiles(config())
     assert dataset_rows(d1) == dataset_rows(d2)
     assert (d1.meta, d1.skipped_rows) == (d2.meta, d2.skipped_rows)
-    assert t1 == t2
+    assert (truth_rows(t1), t1.outlier_indices) == (truth_rows(t2), t2.outlier_indices)
 
 
 @pytest.mark.parametrize("scaling", [None, InverseSquareScaling(10.0), CustomMonotoneScaling([1.0, 1e7], [0.1, 100.0])])
@@ -202,7 +209,7 @@ def test_prepending_a_board_leaves_later_board_draws_alone():
 def test_raw_records_true_intensity():
     ds, truth = simulate_profiles(config(scaling=None))
     assert ds.meta.intensity_kind is IntensityKind.RAW
-    by_angle = {t.vertical_angle: t.true_intensity for t in truth.ticks}
+    by_angle = dict(zip(truth.vertical_angle.tolist(), truth.true_intensity.tolist()))
     for angle, intensity in zip(ds.vertical_angle.tolist(), ds.intensity.tolist()):
         assert intensity == by_angle[angle]
 
@@ -218,10 +225,10 @@ def test_inverse_square_is_exactly_invertible_per_tick():
     ):
         per_tick_ranges.setdefault(angle, []).append(r)
         per_tick_recorded[angle] = intensity
-    for t in truth.ticks:
-        mean_r = np.mean(per_tick_ranges[t.vertical_angle])
-        back = per_tick_recorded[t.vertical_angle] * r_ref / mean_r**2
-        assert back == pytest.approx(t.true_intensity, rel=1e-12)
+    for angle, true_intensity in zip(truth.vertical_angle.tolist(), truth.true_intensity.tolist()):
+        mean_r = np.mean(per_tick_ranges[angle])
+        back = per_tick_recorded[angle] * r_ref / mean_r**2
+        assert back == pytest.approx(true_intensity, rel=1e-12)
 
 
 def test_custom_monotone_preserves_intensity_order():
@@ -241,8 +248,8 @@ def test_custom_monotone_preserves_intensity_order():
     ds, truth = simulate_profiles(cfg)
     assert ds.meta.intensity_kind is IntensityKind.SCALED
     rec_by_angle = dict(zip(ds.vertical_angle.tolist(), ds.intensity.tolist()))
-    ordered = sorted(truth.ticks, key=lambda t: t.true_intensity)
-    recorded = [rec_by_angle[t.vertical_angle] for t in ordered]
+    ordered = sorted(truth_rows(truth), key=lambda t: t[2])
+    recorded = [rec_by_angle[angle] for _, angle, _, _ in ordered]
     assert recorded == sorted(recorded)
     assert len(set(recorded)) == 3
 
@@ -260,7 +267,7 @@ def test_injection_count_and_indices():
     ds, truth = simulate_profiles(cfg)
     assert len(truth.outlier_indices) == 2 * round(0.05 * 200)
     assert list(truth.outlier_indices) == sorted(set(truth.outlier_indices))
-    sigma_m = truth.ticks[0].true_sigma_mm / 1000.0
+    sigma_m = truth.true_sigma_mm[0] / 1000.0
     flagged = set(truth.outlier_indices)
     for i, r in enumerate(ds.range.tolist()):
         dev = abs(r - 10.0)
@@ -290,10 +297,10 @@ def test_tick_ids_align_with_preprocess_grouping():
 
     ds, truth = simulate_profiles(config(seed=21))
     stats = preprocess(ds, PreprocessConfig(min_tick_count=10))
-    assert [s.tick_id for s in stats] == [t.tick_id for t in truth.ticks]
-    for s, t in zip(stats, truth.ticks):
-        assert s.vertical_angle_center == pytest.approx(t.vertical_angle)
-        assert s.mean_intensity == pytest.approx(t.true_intensity, rel=1e-14)
+    assert [s.tick_id for s in stats] == truth.tick_id.tolist()
+    for s, (_, angle, true_intensity, _) in zip(stats, truth_rows(truth)):
+        assert s.vertical_angle_center == pytest.approx(angle)
+        assert s.mean_intensity == pytest.approx(true_intensity, rel=1e-14)
 
 
 # ---- sidecar CSV -------------------------------------------------------------
@@ -302,6 +309,6 @@ def test_ground_truth_csv_layout():
     _, truth = simulate_profiles(config())
     lines = ground_truth_to_csv(truth).splitlines()
     assert lines[0] == GROUND_TRUTH_HEADER
-    assert len(lines) == 1 + len(truth.ticks)
-    first = truth.ticks[0]
-    assert lines[1] == f"0,{first.true_intensity!r},{first.true_sigma_mm!r}"
+    assert len(lines) == 1 + len(truth.tick_id)
+    _, _, true_intensity, true_sigma_mm = truth_rows(truth)[0]
+    assert lines[1] == f"0,{true_intensity!r},{true_sigma_mm!r}"

@@ -24,17 +24,11 @@ from _reference import (
 )
 from rangevar import ingest
 from rangevar.cli import _curve_csv
-from rangevar.evaluate import (
-    EvaluationReport,
-    ResidualRow,
-    VcmBlocks,
-    evaluation_report_to_csv,
-    vcm_to_csv,
-)
+from rangevar.evaluate import EvaluationReport, VcmBlocks, evaluation_report_to_csv, vcm_to_csv
 from rangevar.fit import RangeVarianceModel
 from rangevar.ingest import IntensityKind, ScanDataset, ScanMeta, serialize_dataset
 from rangevar.preprocess import TickStats, tick_stats_to_csv
-from rangevar.simulate import GroundTruth, GroundTruthTick, ground_truth_to_csv
+from rangevar.simulate import GroundTruth, ground_truth_to_csv
 
 EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-5, -1e-5, 1e300, 0.1)
 FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
@@ -99,22 +93,32 @@ def test_tick_table_matches_the_row_writer(stats):
     assert tick_stats_to_csv(stats) == ref_tick_stats_to_csv(stats)
 
 
+@st.composite
+def columns(draw, *elements):
+    """Equal-length numpy columns, one drawn from each (strategy, dtype) pair."""
+    n = draw(st.integers(0, 8))
+    return [np.array(draw(st.lists(e, min_size=n, max_size=n)), dtype=d) for e, d in elements]
+
+
+INT_COLUMN, FLOAT_COLUMN = (INTS, np.int64), (FLOATS, np.float64)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.builds(GroundTruthTick, INTS, FLOATS, FLOATS, FLOATS), max_size=8))
-def test_ground_truth_matches_the_row_writer(ticks):
-    gt = GroundTruth(tuple(ticks), ())
+@given(columns(INT_COLUMN, *[FLOAT_COLUMN] * 3))
+@example([np.array([2**62, -(2**62)]), np.array([-0.0, 0.1]), np.array([5e-324, 1e16]),
+          np.array([1e-5, -0.0])])
+def test_ground_truth_matches_the_row_writer(truth_columns):
+    gt = GroundTruth(*truth_columns, ())
     assert ground_truth_to_csv(gt) == ref_ground_truth_to_csv(gt)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.builds(ResidualRow, INTS, FLOATS, FLOATS, FLOATS, FLOATS, st.booleans()), max_size=8),
-    FLOATS, FLOATS,
-)
-@example([ResidualRow(2**62, -0.0, 5e-324, 1e16, 1e-5, True),
-          ResidualRow(0, 1e-5, 1e16, 5e-324, -0.0, False)], -0.0, 5e-324)
-def test_evaluation_report_matches_the_row_writer(rows, rmse, max_abs):
-    report = EvaluationReport(tuple(rows), rmse, max_abs)
+@given(columns(INT_COLUMN, *[FLOAT_COLUMN] * 4, (st.booleans(), bool)), FLOATS, FLOATS)
+@example([np.array([2**62, 0]), np.array([-0.0, 1e-5]), np.array([5e-324, 1e16]),
+          np.array([1e16, 5e-324]), np.array([1e-5, -0.0]), np.array([True, False])],
+         -0.0, 5e-324)
+def test_evaluation_report_matches_the_row_writer(report_columns, rmse, max_abs):
+    report = EvaluationReport(*report_columns, rmse, max_abs)
     assert evaluation_report_to_csv(report) == ref_evaluation_report_to_csv(report)
 
 
