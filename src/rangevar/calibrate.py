@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import NonPositiveRange
+from .errors import NonPositiveRange, RangevarError
 from .preprocess import TickStats, read_tick_stats_csv, tick_stats_to_csv
 
 # The tick table has one codec; these names read and write calibrated tables.
@@ -43,24 +43,34 @@ class CalibrationConfig:
 
 
 def calibrate_intensity(mean_intensity: float, mean_range: float, cfg: CalibrationConfig) -> float:
-    """Map one mean scaled intensity to the reference range."""
+    """Map one mean scaled intensity to the reference range.
+
+    A mean_range that is not > 0 raises NonPositiveRange; a squared range
+    or a result outside the float range raises RangevarError.
+    """
     if not mean_range > 0:
         raise NonPositiveRange(f"mean_range must be > 0, got {mean_range!r}")
-    return mean_intensity * cfg.r_ref / mean_range**2
+    try:
+        calibrated = mean_intensity * cfg.r_ref / mean_range**2
+    except (OverflowError, ZeroDivisionError):
+        calibrated = math.inf
+    if not math.isfinite(calibrated):
+        raise RangevarError(
+            f"calibrating intensity {mean_intensity!r} at {mean_range!r} m leaves the float range"
+        )
+    return calibrated
 
 
 def calibrate_ticks(stats: list[TickStats], cfg: CalibrationConfig) -> list[TickStats]:
     """Set every tick's calibrated_intensity, preserving order.
 
-    All other fields are passed through untouched.
+    All other fields are passed through untouched; an error names its tick.
     """
     out: list[TickStats] = []
     for s in stats:
         try:
             calibrated = calibrate_intensity(s.mean_intensity, s.mean_range, cfg)
-        except NonPositiveRange:
-            raise NonPositiveRange(
-                f"tick {s.tick_id}: mean_range must be > 0, got {s.mean_range!r}"
-            ) from None
+        except RangevarError as exc:
+            raise type(exc)(f"tick {s.tick_id}: {exc}") from None
         out.append(replace(s, calibrated_intensity=calibrated))
     return out

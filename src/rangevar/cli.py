@@ -122,23 +122,17 @@ def read_sim_config(text: str) -> simulate.SimulationConfig:
             raise InvalidConfig(f"config is missing required key '{key}'")
         return default
 
-    def table(key: str) -> list[float]:
-        return [parse_float(v, line_of[key], key) for v in values[key].split()]
+    def table(text: str, lineno: int, key: str) -> list[float]:
+        return [parse_float(v, lineno, key) for v in text.split()]
 
     scaling_name = values.get("scaling", "none").lower()
-    scaling: simulate.InverseSquareScaling | simulate.CustomMonotoneScaling | None
     if scaling_name == "none":
         scaling = None
     elif scaling_name == "inverse_square":
-        if "r_ref" not in values:
-            raise InvalidConfig("scaling = inverse_square requires r_ref")
         scaling = simulate.InverseSquareScaling(number("r_ref"))
     elif scaling_name == "custom_monotone":
-        if "scaling_true" not in values or "scaling_recorded" not in values:
-            raise InvalidConfig(
-                "scaling = custom_monotone requires scaling_true and scaling_recorded"
-            )
-        scaling = simulate.CustomMonotoneScaling(table("scaling_true"), table("scaling_recorded"))
+        tables = (number(key, table) for key in ("scaling_true", "scaling_recorded"))
+        scaling = simulate.CustomMonotoneScaling(*tables)
     else:
         raise InvalidConfig(f"unknown scaling '{scaling_name}'")
 
@@ -238,15 +232,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_preprocess_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma-multiplier", type=float, default=3.0)
-    p.add_argument("--min-tick-count", type=int, default=30)
-    p.add_argument("--tick-mode", choices=("explicit", "quantize"), default="quantize")
+    defaults = preprocess.PreprocessConfig
+    p.add_argument("--sigma-multiplier", type=float, default=defaults.sigma_multiplier)
+    p.add_argument("--min-tick-count", type=int, default=defaults.min_tick_count)
+    p.add_argument("--tick-mode", choices=[mode.value for mode in preprocess.TickMode],
+                   default=defaults.tick_mode.value)
     p.add_argument("--tick-step", type=float, default=None, help="rad; only with --tick-mode quantize")
-    p.add_argument("--max-passes", type=int, default=1, help="outlier screening passes (0 disables)")
+    p.add_argument("--max-passes", type=int, default=defaults.max_passes,
+                   help="outlier screening passes (0 disables)")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser, include_kind: bool = True) -> None:
-    p.add_argument("--max-iterations", type=int, default=200)
+    p.add_argument("--max-iterations", type=int, default=fit_mod.FitOptions.max_iterations)
     p.add_argument("--weight-by-count", action="store_true",
                    help="weight each tick by its member count")
     if include_kind:
@@ -262,19 +259,19 @@ def _check_positive(args, *flags: str) -> None:
             raise _UsageError(f"{flag} must be finite and > 0, got {value!r}")
 
 
+def _check_iterations(args) -> None:
+    if args.max_iterations < 0:
+        raise _UsageError(f"--max-iterations must be >= 0, got {args.max_iterations}")
+
+
 def _preprocess_config(args) -> preprocess.PreprocessConfig:
-    mode = (
-        preprocess.TickMode.EXPLICIT_COLUMN
-        if args.tick_mode == "explicit"
-        else preprocess.TickMode.QUANTIZE_BY_STEP
-    )
     if args.tick_step is not None and args.tick_mode == "explicit":
         raise _UsageError("--tick-step only applies with --tick-mode quantize")
     try:
         return preprocess.PreprocessConfig(
             sigma_multiplier=args.sigma_multiplier,
             min_tick_count=args.min_tick_count,
-            tick_mode=mode,
+            tick_mode=preprocess.TickMode(args.tick_mode),
             tick_step=args.tick_step,
             max_passes=args.max_passes,
         )
@@ -305,31 +302,28 @@ def _preprocess(ds: ingest.ScanDataset, cfg: preprocess.PreprocessConfig, out: P
 
 
 def _calibrate(stats: list, r_ref: float | None, out: Path) -> list:
+    source = ""
     if r_ref is None:
         with np.errstate(over="ignore"):  # finite ranges can sum past the float range
             r_ref = float(np.mean([s.mean_range for s in stats]))
         if not math.isfinite(r_ref):
             raise RangevarError(f"the mean of the tick mean ranges is {r_ref!r} m; pass --r-ref")
-        print(f"r_ref = {r_ref!r} m (mean of tick mean ranges)")
-    else:
-        print(f"r_ref = {r_ref!r} m")
+        source = " (mean of tick mean ranges)"
     calibrated = calibrate_mod.calibrate_ticks(stats, calibrate_mod.CalibrationConfig(r_ref))
+    print(f"r_ref = {r_ref!r} m{source}")
     _write_atomic(out / "ticks_calibrated.csv", preprocess.tick_stats_to_csv(calibrated))
     print(f"{len(calibrated)} ticks calibrated -> {out / 'ticks_calibrated.csv'}")
     return calibrated
 
 
 def _fit(ticks: list, args, kind: ingest.IntensityKind, out: Path) -> fit_mod.RangeVarianceModel:
-    """Kind CALIBRATED fits the calibrated intensities, any other the recorded ones."""
+    """kind tags the model of an uncalibrated table; a calibrated one gives a calibrated model."""
     opts = fit_mod.FitOptions(
         max_iterations=args.max_iterations,
         weights=tuple(float(t.count) for t in ticks) if args.weight_by_count else None,
         intensity_kind=kind,
     )
-    if kind is ingest.IntensityKind.CALIBRATED:
-        report = fit_mod.fit_general_model(ticks, opts)
-    else:
-        report = fit_mod.fit_model([(t.mean_intensity, t.std_range) for t in ticks], opts)
+    report = fit_mod.fit_general_model(ticks, opts)
     m = report.model
     _write_atomic(out / "model.json", fit_mod.fit_report_to_json(report))
     _write_atomic(out / "curve.csv", _curve_csv(m))
@@ -398,10 +392,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _check_iterations(args)
     ticks = preprocess.read_tick_stats_csv(_read_text(args.input))
-    calibrated = ticks and ticks[0].calibrated_intensity is not None
-    kind = ingest.IntensityKind("calibrated" if calibrated else args.intensity_kind)
-    _fit(ticks, args, kind, Path(args.out))
+    _fit(ticks, args, ingest.IntensityKind(args.intensity_kind), Path(args.out))
     return 0
 
 
@@ -423,8 +416,7 @@ def _cmd_compare(args) -> int:
         raise _UsageError("--grid-points must be >= 2")
     grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
     report = evaluate_mod.compare_models(m1, m2, grid)
-    out = Path(args.out)
-    _write_atomic(out / "comparison.csv", evaluate_mod.evaluation_report_to_csv(report))
+    _write_atomic(Path(args.out) / "comparison.csv", evaluate_mod.evaluation_report_to_csv(report))
     print(f"rmse = {report.rmse:.6g} mm, max |difference| = {report.max_abs_residual:.6g} mm")
     return 0
 
@@ -441,20 +433,19 @@ def _cmd_pipeline(args) -> int:
     if (args.sigma_vertical is None) != (args.sigma_horizontal is None):
         raise _UsageError("--sigma-vertical and --sigma-horizontal must be given together")
     _check_positive(args, "--r-ref", "--sigma-vertical", "--sigma-horizontal")
+    _check_iterations(args)
     pre_cfg = _preprocess_config(args)
     cfg = _sim_config(args.simulate, args.seed)
     out = Path(args.out)
 
     ds = _simulate(cfg, out)
     ticks = _preprocess(ds, pre_cfg, out)
-    kind = ds.meta.intensity_kind
-    if kind is ingest.IntensityKind.SCALED:
+    if ds.meta.intensity_kind is ingest.IntensityKind.SCALED:
         r_ref = args.r_ref
         if r_ref is None and isinstance(cfg.scaling, simulate.InverseSquareScaling):
             r_ref = cfg.scaling.r_ref
         ticks = _calibrate(ticks, r_ref, out)
-        kind = ingest.IntensityKind.CALIBRATED
-    model = _fit(ticks, args, kind, out)
+    model = _fit(ticks, args, ds.meta.intensity_kind, out)
     _evaluate(model, ticks, out)
     if args.sigma_vertical is not None:
         _vcm(ds, model, args, out)

@@ -8,6 +8,7 @@ their observed intensity span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import EmptyGrid, EmptyStats, MissingColumn, NonPositiveIntensity
 from .fit import RangeVarianceModel, evaluate_model
 from .ingest import IntensityKind, ScanDataset, csv_text
-from .preprocess import TickStats
+from .preprocess import TickStats, is_calibrated
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +51,9 @@ class AngularSigmas:
     sigma_horizontal: float
 
     def __post_init__(self):
-        if not (self.sigma_vertical > 0 and self.sigma_horizontal > 0):
-            raise ValueError("angular sigmas must be > 0")
+        for sigma in (self.sigma_vertical, self.sigma_horizontal):
+            if not (sigma > 0 and math.isfinite(sigma * sigma)):  # the VCM holds sigma**2
+                raise ValueError(f"angular sigmas must be > 0 with a finite square, got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -100,15 +102,16 @@ def evaluate_against_ticks(m: RangeVarianceModel, stats: list[TickStats]) -> Eva
     """Model-vs-observation residuals over tick statistics.
 
     Calibrated models are evaluated at calibrated intensities, all others
-    at the recorded mean intensity. Out-of-domain ticks are kept and
-    flagged extrapolated.
+    at the recorded mean intensity; a calibrated model on an uncalibrated
+    table (preprocess.is_calibrated) raises MissingColumn. Out-of-domain
+    ticks are kept and flagged extrapolated.
     """
     if not stats:
         raise EmptyStats("no tick statistics to evaluate against")
     calibrated = m.intensity_kind is IntensityKind.CALIBRATED
-    intensity = [t.calibrated_intensity if calibrated else t.mean_intensity for t in stats]
-    if None in intensity:
+    if calibrated and not is_calibrated(stats):
         raise MissingColumn("a calibrated model needs the tick table's calibrated_intensity column")
+    intensity = [t.calibrated_intensity if calibrated else t.mean_intensity for t in stats]
     arr = np.array(intensity, dtype=float)
     bad = np.flatnonzero(~(arr > 0))
     if bad.size:
@@ -133,8 +136,6 @@ def compare_models(
     arr = np.array(grid, dtype=float)  # a copy: the report keeps it as its intensity column
     if arr.size == 0:
         raise EmptyGrid("empty intensity grid")
-    if np.any(arr <= 0):
-        raise NonPositiveIntensity("grid intensities must be > 0")
     (lo1, hi1), (lo2, hi2) = m1.intensity_domain, m2.intensity_domain
     inside = (lo1 <= arr) & (arr <= hi1) & (lo2 <= arr) & (arr <= hi2)
     return _report(

@@ -33,7 +33,7 @@ from .errors import (
     TooFewPoints,
 )
 from .ingest import IntensityKind
-from .preprocess import TickStats
+from .preprocess import TickStats, is_calibrated
 
 
 @dataclass(frozen=True)
@@ -184,12 +184,6 @@ def initial_guess(points) -> tuple[float, float, float]:
     return a0, b0, c0
 
 
-def _check_positive_in_domain(a: float, b: float, c: float, lo: float, hi: float) -> bool:
-    """sigma(I) is monotone on I > 0 (its derivative a*b*I**(b-1) has one
-    sign), so positivity at both domain endpoints covers the interior."""
-    return (a * lo**b + c) > 0 and (a * hi**b + c) > 0
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
     """Least-squares estimate of (a, b, c) from (intensity, std) pairs.
@@ -271,7 +265,9 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
             f"fit cost is {cost!r} mm^2: the model or its squared residuals overflow "
             f"on the intensity domain [{lo:g}, {hi:g}]"
         )
-    if not _check_positive_in_domain(a, b, c, lo, hi):
+    # sigma(I) is monotone on I > 0 (its derivative a*b*I**(b-1) has one sign),
+    # so positivity at both domain endpoints covers the interior.
+    if not (a * lo**b + c > 0 and a * hi**b + c > 0):
         raise DomainViolation(
             f"fitted model predicts sigma <= 0 inside intensity domain [{lo:g}, {hi:g}]"
         )
@@ -285,27 +281,20 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
         except np.linalg.LinAlgError:
             pass
 
-    return FitReport(
-        model=model,
-        iterations=iterations,
-        final_cost=cost,
-        converged=converged,
-        parameter_stddevs=stddevs,
-    )
+    return FitReport(model, iterations, cost, converged, stddevs)
 
 
-def fit_general_model(calibrated: list[TickStats], opts: FitOptions = FitOptions()) -> FitReport:
-    """Fit one model across distances using calibrated intensities.
-
-    Consumes the calibrated_intensity as abscissa; the result is tagged
-    IntensityKind.CALIBRATED regardless of opts.intensity_kind. A tick
-    without a calibrated_intensity raises ValueError.
+def fit_general_model(ticks: list[TickStats], opts: FitOptions = FitOptions()) -> FitReport:
+    """fit_model on a tick table: a calibrated one (preprocess.is_calibrated) on its
+    calibrated intensities, tagged CALIBRATED; any other on its mean intensities,
+    tagged opts.intensity_kind. A mixed table raises ValueError.
     """
-    for t in calibrated:
-        if t.calibrated_intensity is None:
-            raise ValueError(f"tick {t.tick_id}: no calibrated_intensity; calibrate the ticks first")
-    points = [(t.calibrated_intensity, t.std_range) for t in calibrated]
-    return fit_model(points, replace(opts, intensity_kind=IntensityKind.CALIBRATED))
+    if is_calibrated(ticks):
+        points = [(t.calibrated_intensity, t.std_range) for t in ticks]
+        opts = replace(opts, intensity_kind=IntensityKind.CALIBRATED)
+    else:
+        points = [(t.mean_intensity, t.std_range) for t in ticks]
+    return fit_model(points, opts)
 
 
 # ---- JSON interface ----------------------------------------------------------

@@ -26,15 +26,13 @@ reference (test_preprocess_equals_the_per_tick_reference).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
 from .ingest import ScanDataset, csv_text, parse_float, parse_index
-
-# A boolean array aligned with a TickGroup's members; True = exclude.
-OutlierMask = np.ndarray
 
 # Members stacked into one (ticks, members) block at most, so that a pass
 # never holds one matrix of every member at once. Peak RSS of one full-size
@@ -82,8 +80,8 @@ class PreprocessConfig:
             raise ValueError("min_tick_count must be >= 2")
         if self.max_passes < 0:
             raise ValueError("max_passes must be >= 0")
-        if self.tick_step is not None and not self.tick_step > 0:
-            raise ValueError("tick_step must be > 0")
+        if self.tick_step is not None and not (math.isfinite(self.tick_step) and self.tick_step > 0):
+            raise ValueError(f"tick_step must be finite and > 0, got {self.tick_step!r}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +112,14 @@ class TickStats:
     std_range: float              # mm (the only mm conversion in the pipeline)
     count: int
     calibrated_intensity: float | None = None
+
+
+def is_calibrated(stats: list[TickStats]) -> bool:
+    """Whether every tick has a calibrated_intensity; a mixed list raises ValueError."""
+    calibrated = sum(s.calibrated_intensity is not None for s in stats)
+    if 0 < calibrated < len(stats):
+        raise ValueError(f"{calibrated} of {len(stats)} ticks are calibrated; a tick table needs all or none")
+    return calibrated > 0
 
 
 def _spread(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -160,7 +166,9 @@ def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> list[TickG
 
     Every observation lands in exactly one group; within a group the
     original file order is kept. Tick ids are ordinal (0, 1, ...) in
-    ascending center order for both modes.
+    ascending center order for both modes. A quantize step, given or
+    estimated, for which the largest |angle| / step does not fit an
+    int64 raises DegenerateTicks.
     """
     if len(ds) == 0:
         raise TooFewValues("empty dataset")
@@ -170,7 +178,11 @@ def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> list[TickG
         centers, inverse = np.unique(angles, return_inverse=True)
     else:
         step = cfg.tick_step if cfg.tick_step is not None else _estimate_step(angles)
-        keys = np.round(angles / step).astype(np.int64)
+        with np.errstate(over="ignore"):  # a tiny step overflows to inf, refused below
+            keys = np.round(angles / step)
+        if not max(keys.max(), -keys.min()) < 2.0**63:
+            raise DegenerateTicks(f"tick step {step!r} rad: the largest |angle| / step overflows int64")
+        keys = keys.astype(np.int64)  # rebinding frees the float keys before the sort below
         distinct_keys, inverse = np.unique(keys, return_inverse=True)
         centers = distinct_keys * step
 
@@ -210,7 +222,7 @@ def _blocks(groups: list[TickGroup]):
             )
 
 
-def detect_outliers(groups: list[TickGroup], cfg: PreprocessConfig) -> list[OutlierMask]:
+def detect_outliers(groups: list[TickGroup], cfg: PreprocessConfig) -> list[np.ndarray]:
     """Boolean masks of members to exclude, per the dual mean/median rule.
 
     Returns one mask per group, in order, computed together from stacked
@@ -222,7 +234,7 @@ def detect_outliers(groups: list[TickGroup], cfg: PreprocessConfig) -> list[Outl
         if len(group) < 2:
             raise TooFewValues(f"tick {group.tick_id}: need >= 2 members, got {len(group)}")
     k = cfg.sigma_multiplier
-    masks: list[OutlierMask] = [None] * len(groups)
+    masks: list[np.ndarray] = [None] * len(groups)
     for positions, *channels in _blocks(groups):
         flags = np.zeros(channels[0].shape, dtype=bool)
         for values in channels:
@@ -290,14 +302,10 @@ CALIBRATED_HEADER = TICK_STATS_HEADER + ",calibrated_intensity"
 def tick_stats_to_csv(stats: list[TickStats]) -> str:
     """Render TickStats rows as CSV with round-trip float formatting.
 
-    Calibrated ticks add the calibrated_intensity column. A table is
-    calibrated throughout or not at all, so a mixed list is refused.
+    A calibrated table (is_calibrated) adds the calibrated_intensity
+    column; a mixed list is refused.
     """
-    calibrated = sum(s.calibrated_intensity is not None for s in stats)
-    if 0 < calibrated < len(stats):
-        raise ValueError(
-            f"{calibrated} of {len(stats)} ticks are calibrated; a tick table needs all or none"
-        )
+    calibrated = is_calibrated(stats)
     names = [f.name for f in fields(TickStats)][: 7 if calibrated else 6]
     header = CALIBRATED_HEADER if calibrated else TICK_STATS_HEADER
     return csv_text([header], [[getattr(s, name) for s in stats] for name in names])

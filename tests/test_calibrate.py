@@ -13,7 +13,7 @@ from rangevar.calibrate import (
     calibrated_ticks_to_csv,
     read_calibrated_ticks_csv,
 )
-from rangevar.errors import NonPositiveRange
+from rangevar.errors import NonPositiveRange, RangevarError
 from rangevar.preprocess import TickStats
 
 
@@ -54,6 +54,24 @@ def test_error_carries_tick_context():
     with pytest.raises(NonPositiveRange) as err:
         calibrate_ticks(ticks, CalibrationConfig(10.0))
     assert "tick 7" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "intensity, mean_range, r_ref",
+    [(1500.0, 1e308, 10.0), (1500.0, 1e-200, 10.0), (0.0, 1e-200, 1e-200), (1e300, 1e-10, 10.0)],
+    ids=["range-squared-overflows", "range-squared-underflows", "zero-over-zero", "result-overflows"],
+)
+def test_result_outside_the_float_range_names_the_tick(intensity, mean_range, r_ref):
+    ticks = [tick(0, 80.0, 10.0), tick(4, intensity, mean_range)]
+    with pytest.raises(RangevarError, match=r"^tick 4: calibrating intensity .* leaves the float range$"):
+        calibrate_ticks(ticks, CalibrationConfig(r_ref))
+
+
+def test_zero_intensity_and_finite_results_keep_the_formula():
+    cfg = CalibrationConfig(10.0)
+    assert calibrate_intensity(0.0, 1e-150, cfg) == 0.0
+    for intensity, mean_range in [(1500.0, 1e150), (1e-300, 1e-100), (123.25, 7.5), (5e-324, 3.0)]:
+        assert calibrate_intensity(intensity, mean_range, cfg) == intensity * 10.0 / mean_range**2
 
 
 def test_calibration_leaves_everything_else_untouched():

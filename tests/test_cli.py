@@ -18,7 +18,7 @@ import pytest
 
 import rangevar
 from rangevar import calibrate, fit, ingest, preprocess
-from rangevar.cli import _write_atomic, run
+from rangevar.cli import _build_parser, _write_atomic, run
 
 SIM_CONFIG = """\
 # three-level synthetic wall
@@ -110,6 +110,62 @@ def test_preprocess_flag_validation(sim_cfg, tmp_path):
                 "--max-passes", "-2"]) == 2
 
 
+def test_tick_step_that_is_not_finite_is_a_usage_error(sim_cfg, tmp_path, capsys):
+    work = tmp_path / "w"
+    run(["simulate", "--config", str(sim_cfg), "--out", str(work)])
+    capsys.readouterr()
+    out = tmp_path / "o"
+    for command in (["preprocess", "--input", str(work / "scan.csv")],
+                    ["pipeline", "--simulate", str(sim_cfg)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*command, "--out", str(out), "--tick-step", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: tick_step must be finite and > 0, got inf\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_tick_step_whose_keys_leave_int64_exits_one(sim_cfg, tmp_path, capsys):
+    work = tmp_path / "w"
+    run(["simulate", "--config", str(sim_cfg), "--out", str(work)])
+    capsys.readouterr()
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["preprocess", "--input", str(work / "scan.csv"), "--out", str(out),
+                    "--tick-step", "1e-320"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: tick step 1e-320 rad: the largest |angle| / step overflows int64\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "pipeline"])
+def test_negative_max_iterations_is_a_usage_error_before_any_output(sim_cfg, tmp_path, capsys,
+                                                                    command):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(preprocess.TICK_STATS_HEADER + "\n" + TICK_ROWS)
+    source = ["--input", str(ticks)] if command == "fit" else ["--simulate", str(sim_cfg)]
+    out = tmp_path / "o"
+    assert run([command, *source, "--out", str(out), "--max-iterations", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --max-iterations must be >= 0, got -3\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_flag_defaults_come_from_the_stage_options():
+    args = _build_parser().parse_args(["pipeline", "--simulate", "c", "--out", "o"])
+    defaults = preprocess.PreprocessConfig()
+    assert (args.sigma_multiplier, args.min_tick_count, args.max_passes) == (
+        defaults.sigma_multiplier, defaults.min_tick_count, defaults.max_passes)
+    assert preprocess.TickMode(args.tick_mode) is defaults.tick_mode
+    assert args.max_iterations == fit.FitOptions().max_iterations
+
+
 def test_degenerate_inputs_exit_one(tmp_path):
     missing = str(tmp_path / "nope.csv")
     assert run(["fit", "--input", missing, "--out", str(tmp_path)]) == 1
@@ -150,6 +206,30 @@ def test_calibrate_refuses_a_mean_range_that_overflows(tmp_path, capsys):
         assert run(["calibrate", "--input", str(ticks), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: the mean of the tick mean ranges is inf m; pass --r-ref\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, r_ref, value",
+    [("1500.0,1e308", ["--r-ref", "10"], "intensity 1500.0 at 1e+308 m"),
+     ("1500.0,1e-200", ["--r-ref", "10"], "intensity 1500.0 at 1e-200 m"),
+     ("1500.0,1e-200", [], "intensity 1500.0 at 1e-200 m"),
+     ("1e300,1e-10", [], "intensity 1e+300 at 1e-10 m")],
+    ids=["range-squared-overflows", "range-squared-underflows", "underflows-mean-range",
+         "result-overflows"],
+)
+def test_calibrate_refuses_a_result_outside_the_float_range(tmp_path, capsys, row, r_ref, value):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(preprocess.TICK_STATS_HEADER + "\n" + "".join(
+        f"{i},0.00{i + 1},{row},1.5,300\n" for i in range(3)
+    ))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["calibrate", "--input", str(ticks), "--out", str(out), *r_ref]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tick 0: calibrating {value} leaves the float range\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -543,6 +623,11 @@ def test_sim_config_parse_errors(tmp_path, capsys):
         (SIM_CONFIG.replace("seed = 11", "seed = -1"), "config line 2: seed must be >= 0, got -1"),
         (SIM_CONFIG.replace("truth_c = 0.08", "truth_c = nan"),
          "line 6: non-finite value in column 'truth_c'"),
+        (SIM_CONFIG + "scaling = inverse_square\n", "config is missing required key 'r_ref'"),
+        (SIM_CONFIG + "scaling = custom_monotone\nscaling_true = 1 2\n",
+         "config is missing required key 'scaling_recorded'"),
+        (SIM_CONFIG + "scaling = custom_monotone\nscaling_true = 1 x\nscaling_recorded = 1 2\n",
+         "line 11: cannot parse 'x' in column 'scaling_true'"),
     ]:
         assert code_for(text) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -661,6 +746,19 @@ def test_non_positive_flag_is_a_usage_error_before_any_output(scaled_cfg, tmp_pa
     assert run([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_vcm_refuses_an_angular_sigma_whose_square_overflows(scaled_cfg, tmp_path, capsys):
+    work = tmp_path / "w"
+    assert run(["pipeline", "--simulate", str(scaled_cfg), "--out", str(work)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run(["vcm", "--input", str(work / "scan.csv"), "--model", str(work / "model.json"),
+                "--sigma-vertical", "1e200", "--sigma-horizontal", "1e-5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: angular sigmas must be > 0 with a finite square, got 1e+200\n"
     assert captured.out == ""
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 """Residual metrics, model comparison grids, and VCM blocks."""
 
 import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,9 @@ def test_calibrated_model_requires_calibrated_ticks():
     m = model(0.0, -1.0, 1.0, kind=IntensityKind.CALIBRATED)
     with pytest.raises(MissingColumn, match="calibrated_intensity"):
         evaluate_against_ticks(m, [tick(0, 1e4, 1.0)])
+    calibrated = TickStats(1, 0.002, 100.0, 10.0, 0.5, 50, calibrated_intensity=2.0)
+    with pytest.raises(ValueError, match="1 of 2 ticks are calibrated; a tick table needs all or none"):
+        evaluate_against_ticks(m, [calibrated, tick(0, 1e4, 1.0)])
 
 
 def test_calibrated_model_reads_calibrated_abscissa():
@@ -261,6 +265,17 @@ def test_angular_sigma_validation():
         AngularSigmas(0.0, 1e-5)
     with pytest.raises(ValueError):
         AngularSigmas(1e-5, -1e-5)
+
+
+@pytest.mark.parametrize(
+    "vertical, horizontal",
+    [(math.inf, 1e-5), (1e-5, math.inf), (math.nan, 1e-5), (1e-5, -math.inf), (1e200, 1e-5)],
+    ids=["inf-vertical", "inf-horizontal", "nan-vertical", "minus-inf-horizontal",
+         "square-overflows"],
+)
+def test_angular_sigmas_must_be_finite(vertical, horizontal):
+    with pytest.raises(ValueError, match="angular sigmas must be > 0 with a finite square, got "):
+        AngularSigmas(vertical, horizontal)
 
 
 # ---- CSV shapes --------------------------------------------------------------

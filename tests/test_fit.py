@@ -343,9 +343,16 @@ def test_general_fit_tags_calibrated_kind():
         fit_general_model(ticks[:2])
     with pytest.raises(TooFewPoints, match="need >= 3 points, got 0"):
         fit_general_model([])
-    uncalibrated = ticks[:5] + [replace(ticks[5], calibrated_intensity=None)] + ticks[6:]
-    with pytest.raises(ValueError, match="tick 5: no calibrated_intensity"):
-        fit_general_model(uncalibrated)
+    # an uncalibrated table is fitted on its mean intensities and keeps the options' tag
+    plain = [replace(t, mean_intensity=t.calibrated_intensity, calibrated_intensity=None)
+             for t in ticks]
+    opts = FitOptions(max_iterations=50, intensity_kind=IntensityKind.SCALED)
+    rep = fit_general_model(plain, opts)
+    assert rep == fit_model([(t.mean_intensity, t.std_range) for t in plain], opts)
+    assert rep.model.intensity_kind is IntensityKind.SCALED
+    mixed = ticks[:5] + [replace(ticks[5], calibrated_intensity=None)] + ticks[6:]
+    with pytest.raises(ValueError, match="7 of 8 ticks are calibrated; a tick table needs all or none"):
+        fit_general_model(mixed)
 
 
 # ---- JSON interface ----------------------------------------------------------

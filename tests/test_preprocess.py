@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -160,6 +161,29 @@ def test_quantize_without_spread_or_step_degenerate():
     # an explicit step rescues the degenerate case
     cfg = PreprocessConfig(tick_mode=TickMode.QUANTIZE_BY_STEP, tick_step=0.001)
     assert len(group_by_vertical_tick(ds, cfg)) == 1
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.001], ids=["inf", "nan", "zero", "negative"])
+def test_tick_step_must_be_finite_and_positive(step):
+    with pytest.raises(ValueError, match=r"tick_step must be finite and > 0, got "):
+        PreprocessConfig(tick_step=step)
+
+
+@pytest.mark.parametrize(
+    "angles, step",
+    [((0.0, 1.0), 1e-19), ((0.0, -1.0), 1e-320), ((0.0, 5e-324, 1e-323, 1.0), None)],
+    ids=["given-past-int64", "given-overflows", "estimated-overflows"],
+)
+def test_quantize_step_whose_keys_leave_int64_is_degenerate(angles, step):
+    ds = make_dataset([(0, angle, 0.0, 10.0, 55.0) for angle in angles])
+    cfg = PreprocessConfig(tick_step=step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateTicks, match=r"\| / step overflows int64$"):
+            group_by_vertical_tick(ds, cfg)
+    # the largest |angle| / step that fits int64 still groups
+    fitting = PreprocessConfig(tick_step=1.0 / 2**62)
+    assert len(group_by_vertical_tick(make_dataset([(0, 1.0, 0.0, 10.0, 55.0)]), fitting)) == 1
 
 
 def test_grouped_arrays_are_read_only_and_leave_the_dataset_alone(rng):
@@ -454,6 +478,10 @@ def test_tick_table_is_calibrated_throughout_or_not_at_all():
     assert read_tick_stats_csv(tick_stats_to_csv([calibrated])) == [calibrated]
     with pytest.raises(ValueError, match="1 of 2 ticks are calibrated"):
         tick_stats_to_csv([plain, calibrated])
+    assert not pp.is_calibrated([]) and not pp.is_calibrated([plain])
+    assert pp.is_calibrated([calibrated])
+    with pytest.raises(ValueError, match="1 of 2 ticks are calibrated; a tick table needs all or none"):
+        pp.is_calibrated([calibrated, plain])
 
 
 ROW = "0,0.001,1500.0,10.0,1.5,300"
