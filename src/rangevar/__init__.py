@@ -44,7 +44,7 @@ from .ingest import (
 # (rangevar.preprocess.preprocess) so the submodule name is not shadowed.
 from .preprocess import (
     PreprocessConfig,
-    TickGroup,
+    TickGrouping,
     TickMode,
     TickStats,
     detect_outliers,
@@ -83,7 +83,7 @@ __all__ = [
     "ScanDataset",
     "ScanMeta",
     "SimulationConfig",
-    "TickGroup",
+    "TickGrouping",
     "TickMode",
     "TickStats",
     "ValidationReport",

@@ -21,7 +21,7 @@ datasets never pass through this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NonPositiveRange, RangevarError
 from .preprocess import TickStats, read_tick_stats_csv, tick_stats_to_csv
@@ -72,5 +72,6 @@ def calibrate_ticks(stats: list[TickStats], cfg: CalibrationConfig) -> list[Tick
             calibrated = calibrate_intensity(s.mean_intensity, s.mean_range, cfg)
         except RangevarError as exc:
             raise type(exc)(f"tick {s.tick_id}: {exc}") from None
-        out.append(replace(s, calibrated_intensity=calibrated))
+        out.append(TickStats(s.tick_id, s.vertical_angle_center, s.mean_intensity, s.mean_range,
+                             s.std_range, s.count, calibrated))
     return out

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DomainViolation,
     MalformedFitReport,
+    MissingColumn,
     NonPositiveIntensity,
     RankDeficient,
     TooFewPoints,
@@ -285,13 +286,15 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
 
 
 def fit_general_model(ticks: list[TickStats], opts: FitOptions = FitOptions()) -> FitReport:
-    """fit_model on a tick table: a calibrated one (preprocess.is_calibrated) on its
-    calibrated intensities, tagged CALIBRATED; any other on its mean intensities,
-    tagged opts.intensity_kind. A mixed table raises ValueError.
+    """fit_model on a tick table: a calibrated one (preprocess.is_calibrated) on its calibrated
+    intensities, tagged CALIBRATED; any other on its mean intensities, tagged opts.intensity_kind
+    unless that is CALIBRATED (MissingColumn). A mixed table raises ValueError.
     """
     if is_calibrated(ticks):
         points = [(t.calibrated_intensity, t.std_range) for t in ticks]
         opts = replace(opts, intensity_kind=IntensityKind.CALIBRATED)
+    elif ticks and opts.intensity_kind is IntensityKind.CALIBRATED:
+        raise MissingColumn("a calibrated fit needs the tick table's calibrated_intensity column")
     else:
         points = [(t.mean_intensity, t.std_range) for t in ticks]
     return fit_model(points, opts)

@@ -14,13 +14,14 @@ so constant channels never flag. Statistics are frozen per pass: all
 flags of one pass are computed from the same statistics, then flagged
 members are removed together.
 
-All ticks of a pass are screened together, and the survivors reduced
-together, as (ticks, members) matrices of equal-length ticks with one
-row-wise numpy reduction per statistic. On numpy 2.4.6 a contiguous row
-reduces with the same pairwise summation as the 1-D call, so every value
-is bit-identical to computing its tick alone; this rests on numpy's
-internals, and tests/test_preprocess.py checks it against the per-tick
-reference (test_preprocess_equals_the_per_tick_reference).
+Ticks are held as columns (TickGrouping), not as objects. All ticks of a
+pass are screened together, and the survivors reduced together, as (ticks,
+members) matrices of equal-count ticks, with one row-wise numpy reduction
+per statistic. On numpy 2.4.6 a contiguous row reduces with the same
+pairwise summation as the 1-D call, so every value is bit-identical to
+computing its tick alone; this rests on numpy's internals, and
+tests/test_preprocess.py checks it against the per-tick reference
+(test_preprocess_equals_the_per_tick_reference).
 """
 
 from __future__ import annotations
@@ -34,11 +35,8 @@ import numpy as np
 from .errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
 from .ingest import ScanDataset, csv_text, parse_float, parse_index
 
-# Members stacked into one (ticks, members) block at most, so that a pass
-# never holds one matrix of every member at once. Peak RSS of one full-size
-# benchmark iteration, medians of 6 runs (BENCH_5.json, block_cap): per-tick
-# loop 196.3 MB on scan_files and 138.6 MB on many_ticks; this cap 196.5 and
-# 138.6 MB; one block per member count 223.0 and 140.7 MB.
+# Members gathered into one (ticks, members) block at most: one block per member count
+# raised the full-size scan_files peak RSS from 196.5 to 223.0 MB (BENCH_5.json, block_cap).
 BLOCK_MEMBERS = 65_536
 
 
@@ -84,17 +82,40 @@ class PreprocessConfig:
             raise ValueError(f"tick_step must be finite and > 0, got {self.tick_step!r}")
 
 
-@dataclass(frozen=True)
-class TickGroup:
-    """All observations sharing one vertical tick, in file order."""
+@dataclass(frozen=True, eq=False)
+class TickGrouping:
+    """Observations grouped by vertical tick, as read-only columns.
 
-    tick_id: int
-    vertical_angle_center: float  # rad
-    ranges: np.ndarray            # m
-    intensities: np.ndarray       # dimensionless
+    tick_id (int64), center (float64, rad) and count (int64) hold one row per
+    tick, in ascending center order; ranges (m) and intensities hold every
+    member in tick order, file order kept within a tick. len() is the tick
+    count; equality is identity."""
+
+    tick_id: np.ndarray
+    center: np.ndarray
+    count: np.ndarray
+    ranges: np.ndarray
+    intensities: np.ndarray
+
+    def __post_init__(self):
+        for field, dtype in zip(fields(self), (np.int64, float, np.int64, float, float)):
+            column = np.asarray(getattr(self, field.name), dtype=dtype).view()
+            column.flags.writeable = False  # on the view: the caller's array stays writeable
+            object.__setattr__(self, field.name, column)
+        if not (len(self.tick_id) == len(self.center) == len(self.count)
+                and self.count.sum() == len(self.ranges) == len(self.intensities)):
+            raise ValueError("tick columns must share one length and counts must sum to the member count")
 
     def __len__(self) -> int:
-        return len(self.ranges)
+        return len(self.tick_id)
+
+    def select(self, ticks: np.ndarray) -> TickGrouping:
+        """The ticks where the boolean array ticks is True, members included."""
+        if ticks.all():
+            return self
+        members = np.repeat(ticks, self.count)
+        return TickGrouping(self.tick_id[ticks], self.center[ticks], self.count[ticks],
+                            self.ranges[members], self.intensities[members])
 
 
 @dataclass(frozen=True)
@@ -154,17 +175,17 @@ def _estimate_step(angles: np.ndarray) -> float:
     distinct = np.unique(angles)
     if distinct.size < 2:
         raise DegenerateTicks("cannot estimate tick step: all vertical angles identical")
-    gaps = np.diff(distinct)
-    gaps = gaps[gaps > 0]
-    if gaps.size == 0:
-        raise DegenerateTicks("cannot estimate tick step: no positive angle gaps")
-    return float(np.median(gaps))
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range, refused below
+        step = float(np.median(np.diff(distinct)))  # distinct is sorted and unique, so every gap is > 0
+    if not math.isfinite(step):
+        raise DegenerateTicks(f"cannot estimate tick step: the median angle gap is {step!r}")
+    return step
 
 
-def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> list[TickGroup]:
-    """Partition observations into TickGroups sorted by angle center.
+def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> TickGrouping:
+    """Partition observations into ticks sorted by angle center.
 
-    Every observation lands in exactly one group; within a group the
+    Every observation lands in exactly one tick; within a tick the
     original file order is kept. Tick ids are ordinal (0, 1, ...) in
     ascending center order for both modes. A quantize step, given or
     estimated, for which the largest |angle| / step does not fit an
@@ -172,10 +193,9 @@ def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> list[TickG
     """
     if len(ds) == 0:
         raise TooFewValues("empty dataset")
-    angles, ranges, intensities = ds.vertical_angle, ds.range, ds.intensity
-
+    angles = ds.vertical_angle
     if cfg.tick_mode is TickMode.EXPLICIT_COLUMN:
-        centers, inverse = np.unique(angles, return_inverse=True)
+        centers, inverse, count = np.unique(angles, return_inverse=True, return_counts=True)
     else:
         step = cfg.tick_step if cfg.tick_step is not None else _estimate_step(angles)
         with np.errstate(over="ignore"):  # a tiny step overflows to inf, refused below
@@ -183,114 +203,90 @@ def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> list[TickG
         if not max(keys.max(), -keys.min()) < 2.0**63:
             raise DegenerateTicks(f"tick step {step!r} rad: the largest |angle| / step overflows int64")
         keys = keys.astype(np.int64)  # rebinding frees the float keys before the sort below
-        distinct_keys, inverse = np.unique(keys, return_inverse=True)
+        distinct_keys, inverse, count = np.unique(keys, return_inverse=True, return_counts=True)
         centers = distinct_keys * step
 
     order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(len(centers) + 1)).tolist()
-    ranges, intensities = ranges[order], intensities[order]
-    ranges.flags.writeable = intensities.flags.writeable = False
-    return [
-        TickGroup(
-            tick_id=tick_id,
-            vertical_angle_center=float(centers[tick_id]),
-            ranges=ranges[lo:hi],
-            intensities=intensities[lo:hi],
-        )
-        for tick_id, (lo, hi) in enumerate(zip(boundaries, boundaries[1:]))
-    ]
+    return TickGrouping(np.arange(len(centers)), centers, count, ds.range[order], ds.intensity[order])
 
 
-def _blocks(groups: list[TickGroup]):
-    """Equal-length groups stacked into (rows, members) matrices.
-
-    Yields (positions in groups, ranges block, intensities block). A
-    block holds at most BLOCK_MEMBERS members, or one row when a single
-    group is longer.
-    """
-    by_length: dict[int, list[int]] = {}
-    for position, group in enumerate(groups):
-        by_length.setdefault(len(group), []).append(position)
-    for n, positions in by_length.items():
+def _blocks(ticks: TickGrouping):
+    """Equal-count ticks as (positions, members, ranges, intensities) blocks: the
+    block's ticks, all of count n, their members' index in the member columns and
+    two (rows, n) matrices, views when the ticks are consecutive. A block holds
+    at most BLOCK_MEMBERS members, or one row when a tick is longer."""
+    count = ticks.count
+    starts = np.cumsum(count) - count
+    order = np.argsort(count, kind="stable")
+    edges = np.flatnonzero(np.diff(count[order], prepend=-1)).tolist() + [len(order)]
+    for lo, hi in zip(edges, edges[1:]):
+        n = int(count[order[lo]])
         rows = max(1, BLOCK_MEMBERS // n)
-        for start in range(0, len(positions), rows):
-            chunk = positions[start:start + rows]
-            yield (
-                chunk,
-                np.stack([groups[p].ranges for p in chunk]),
-                np.stack([groups[p].intensities for p in chunk]),
-            )
+        for first in range(lo, hi, rows):
+            positions = order[first:min(hi, first + rows)]
+            if positions[-1] - positions[0] == len(positions) - 1:  # consecutive ticks
+                start = int(starts[positions[0]])
+                members = slice(start, start + len(positions) * n)
+            else:
+                members = (starts[positions, None] + np.arange(n)).ravel()
+            yield (positions, members, ticks.ranges[members].reshape(-1, n),
+                   ticks.intensities[members].reshape(-1, n))
 
 
-def detect_outliers(groups: list[TickGroup], cfg: PreprocessConfig) -> list[np.ndarray]:
-    """Boolean masks of members to exclude, per the dual mean/median rule.
+def detect_outliers(ticks: TickGrouping, cfg: PreprocessConfig) -> np.ndarray:
+    """One flag per member of ticks, set on the members the dual rule excludes.
 
-    Returns one mask per group, in order, computed together from stacked
-    equal-length groups. Every group needs >= 2 members. Flags on either
-    channel (range or intensity) mark the member: a corrupt return
-    corrupts both uses of the tick.
+    Equal-count ticks are screened together; every tick needs >= 2 members. A
+    flag on either channel marks the member: a corrupt return corrupts both uses.
     """
-    for group in groups:
-        if len(group) < 2:
-            raise TooFewValues(f"tick {group.tick_id}: need >= 2 members, got {len(group)}")
+    short = np.flatnonzero(ticks.count < 2)
+    if short.size:
+        raise TooFewValues(f"tick {ticks.tick_id[short[0]]}: need >= 2 members, got {ticks.count[short[0]]}")
     k = cfg.sigma_multiplier
-    masks: list[np.ndarray] = [None] * len(groups)
-    for positions, *channels in _blocks(groups):
-        flags = np.zeros(channels[0].shape, dtype=bool)
+    flags = np.zeros(len(ticks.ranges), dtype=bool)
+    for _, members, *channels in _blocks(ticks):
+        block = np.zeros(channels[0].shape, dtype=bool)
         for values in channels:
             mean = values.mean(axis=1)
             median = np.median(values, axis=1)
-            flags |= np.abs(values - mean[:, None]) > k * _spread(values, mean)[:, None]
-            flags |= np.abs(values - median[:, None]) > k * _spread(values, median)[:, None]
-        for position, row in zip(positions, flags):
-            masks[position] = row
-    return masks
+            block |= np.abs(values - mean[:, None]) > k * _spread(values, mean)[:, None]
+            block |= np.abs(values - median[:, None]) > k * _spread(values, median)[:, None]
+        flags[members] = block.ravel()
+    return flags
 
 
 def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> list[TickStats]:
     """Group, screen, filter, and reduce a dataset to per-tick statistics.
 
-    Pipeline: group_by_vertical_tick -> max_passes rounds of
-    detect_outliers with batch removal -> drop ticks with fewer than
-    min_tick_count members -> TickStats with std_range in millimeters.
-    Each pass calls detect_outliers once, with the list of ticks still
-    being screened; a tick leaves that list when a pass flags nothing in
-    it or fewer than 2 members remain.
+    Pipeline: group_by_vertical_tick -> max_passes rounds of detect_outliers
+    with batch removal -> drop ticks with fewer than min_tick_count members ->
+    TickStats with std_range in millimeters. Each pass calls detect_outliers
+    once, with the ticks still being screened; a tick leaves them when a pass
+    flags nothing in it or fewer than 2 members remain.
     """
-    groups = group_by_vertical_tick(ds, cfg)
-    active = [g for g in groups if len(g) >= 2]
+    ticks = group_by_vertical_tick(ds, cfg)
+    active = ticks.count >= 2
     for _ in range(cfg.max_passes):
-        if not active:
+        if not active.any():
             break
-        screened = []
-        for group, mask in zip(active, detect_outliers(active, cfg)):
-            if mask.any():
-                keep = ~mask
-                group = TickGroup(
-                    group.tick_id, group.vertical_angle_center,
-                    group.ranges[keep], group.intensities[keep],
-                )
-                groups[group.tick_id] = group
-                if len(group) >= 2:
-                    screened.append(group)
-        active = screened
+        flagged = np.zeros(len(ticks.ranges), dtype=bool)
+        flagged[np.repeat(active, ticks.count)] = detect_outliers(ticks.select(active), cfg)
+        owners = np.searchsorted(np.cumsum(ticks.count), np.flatnonzero(flagged), side="right")
+        removed = np.bincount(owners, minlength=len(ticks))
+        ticks = TickGrouping(ticks.tick_id, ticks.center, ticks.count - removed,
+                             ticks.ranges[~flagged], ticks.intensities[~flagged])
+        active = (removed > 0) & (ticks.count >= 2)
 
-    kept = [g for g in groups if len(g) >= cfg.min_tick_count]
-    if not kept:
-        raise NoSurvivingTicks(
-            f"no tick kept >= {cfg.min_tick_count} members after screening"
-        )
-    stats: list[TickStats] = [None] * len(kept)
-    for positions, ranges, intensities in _blocks(kept):
-        mean_range = ranges.mean(axis=1)
-        std_mm = _spread(ranges, mean_range) * 1000.0
-        rows = zip(positions, intensities.mean(axis=1).tolist(), mean_range.tolist(), std_mm.tolist())
-        for position, mean_intensity, mean_r, std_r in rows:
-            g = kept[position]
-            stats[position] = TickStats(
-                g.tick_id, g.vertical_angle_center, mean_intensity, mean_r, std_r, len(g)
-            )
-    return stats
+    ticks = ticks.select(ticks.count >= cfg.min_tick_count)
+    if not len(ticks):
+        raise NoSurvivingTicks(f"no tick kept >= {cfg.min_tick_count} members after screening")
+    mean_intensity, mean_range, std_mm = np.empty((3, len(ticks)))
+    for positions, _, ranges, intensities in _blocks(ticks):
+        mean_intensity[positions] = intensities.mean(axis=1)
+        mean_range[positions] = mean = ranges.mean(axis=1)
+        std_mm[positions] = _spread(ranges, mean) * 1000.0
+    return list(map(TickStats, ticks.tick_id.tolist(), ticks.center.tolist(), mean_intensity.tolist(),
+                    mean_range.tolist(), std_mm.tolist(), ticks.count.tolist()))
 
 
 # ---- CSV interface -----------------------------------------------------------

@@ -32,7 +32,7 @@ from rangevar import (
 from rangevar.cli import run
 from rangevar.preprocess import (
     PreprocessConfig,
-    TickGroup,
+    TickGrouping,
     detect_outliers,
     preprocess,
     std_about_mean,
@@ -188,15 +188,15 @@ def test_criterion_04_outlier_rule_fidelity():
     values = clean.copy()
     values[injected_idx] += rng.choice((-1.0, 1.0), 100) * 10 * sigma
 
-    group = TickGroup(0, 0.0, values, np.full(n, 5000.0))
-    mask = detect_outliers([group], PreprocessConfig())[0]
+    group = TickGrouping([0], [0.0], [n], values, np.full(n, 5000.0))
+    mask = detect_outliers(group, PreprocessConfig())
     injected = np.zeros(n, bool)
     injected[injected_idx] = True
     frac_injected = float(mask[injected].mean())
     frac_clean = float(mask[~injected].mean())
 
-    clean_group = TickGroup(0, 0.0, clean, np.full(n, 5000.0))
-    frac_fully_clean = float(detect_outliers([clean_group], PreprocessConfig())[0].mean())
+    clean_group = TickGrouping([0], [0.0], [n], clean, np.full(n, 5000.0))
+    frac_fully_clean = float(detect_outliers(clean_group, PreprocessConfig()).mean())
 
     ok = frac_injected >= 0.99 and frac_clean <= 0.01 and frac_fully_clean <= 0.008
     _verdict(

@@ -143,6 +143,21 @@ def test_tick_step_whose_keys_leave_int64_exits_one(sim_cfg, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimated_tick_step_that_is_not_finite_exits_one(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("profile,vertical_angle,horizontal_angle,range,intensity\n" + "".join(
+        f"{p},{angle},0.0,10.0,1500.0\n" for p in range(40) for angle in ("-1e308", "0.5", "1e308")
+    ))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["preprocess", "--input", str(scan), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot estimate tick step: the median angle gap is inf\n"
+    assert captured.out == ""
+    assert not (out / "ticks.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "pipeline"])
 def test_negative_max_iterations_is_a_usage_error_before_any_output(sim_cfg, tmp_path, capsys,
                                                                     command):

@@ -355,6 +355,24 @@ def test_general_fit_tags_calibrated_kind():
         fit_general_model(mixed)
 
 
+def test_calibrated_fit_of_an_uncalibrated_table_is_refused():
+    from rangevar.errors import MissingColumn
+    from rangevar.evaluate import evaluate_against_ticks
+    from rangevar.preprocess import TickStats
+
+    plain = [TickStats(i, 0.001 * (i + 1), float(I), 10.0, REF.a * float(I) ** REF.b + REF.c, 50)
+             for i, I in enumerate(np.geomspace(1e3, 1e5, 8))]
+    calibrated = FitOptions(intensity_kind=IntensityKind.CALIBRATED)
+    with pytest.raises(MissingColumn, match="calibrated_intensity column"):
+        fit_general_model(plain, calibrated)
+    # the same refusal evaluate_against_ticks gives a calibrated model on this table
+    model = fit_general_model(plain, FitOptions(intensity_kind=IntensityKind.SCALED)).model
+    with pytest.raises(MissingColumn):
+        evaluate_against_ticks(replace(model, intensity_kind=IntensityKind.CALIBRATED), plain)
+    with pytest.raises(TooFewPoints, match="need >= 3 points, got 0"):
+        fit_general_model([], calibrated)
+
+
 # ---- JSON interface ----------------------------------------------------------
 
 def test_report_json_round_trip_with_finite_stddevs():

@@ -24,7 +24,7 @@ from rangevar.preprocess import (
     CALIBRATED_HEADER,
     TICK_STATS_HEADER,
     PreprocessConfig,
-    TickGroup,
+    TickGrouping,
     TickMode,
     TickStats,
     detect_outliers,
@@ -101,9 +101,9 @@ def test_exact_ladder_groups_by_repetition():
     for cfg in (QUANTIZE, EXPLICIT):
         groups = group_by_vertical_tick(ds, cfg)
         assert len(groups) == 5
-        assert all(len(g) == 2 for g in groups)
-        assert [g.tick_id for g in groups] == [0, 1, 2, 3, 4]
-        centers = [g.vertical_angle_center for g in groups]
+        assert groups.count.tolist() == [2] * 5
+        assert groups.tick_id.tolist() == [0, 1, 2, 3, 4]
+        centers = groups.center.tolist()
         assert centers == sorted(centers)
 
 
@@ -121,19 +121,19 @@ def test_jittered_angles_group_like_nearest_center(rng):
     cfg = PreprocessConfig(tick_mode=TickMode.QUANTIZE_BY_STEP, tick_step=step)
     groups = group_by_vertical_tick(ds, cfg)
     assert len(groups) == 5
-    assert all(len(g) == 20 for g in groups)
+    assert groups.count.tolist() == [20] * 5
     # brute-force oracle: every observation must land in the group whose
     # center is nearest to its angle
-    centers = [g.vertical_angle_center for g in groups]
+    centers = groups.center.tolist()
     angles = ds.vertical_angle.tolist()
     nearest = ref_nearest_center_assignment(angles, centers)
-    for gi, g in enumerate(groups):
+    for gi, (center, count) in enumerate(zip(centers, groups.count.tolist())):
         member_angles = [a for a, n in zip(angles, nearest) if n == gi]
         assert sorted(member_angles) == sorted(
             a for a in angles
-            if abs(a - g.vertical_angle_center) <= step / 2
+            if abs(a - center) <= step / 2
         )
-        assert len(member_angles) == len(g)
+        assert len(member_angles) == count
 
 
 def test_quantize_estimates_step_from_exact_ladder():
@@ -141,17 +141,15 @@ def test_quantize_estimates_step_from_exact_ladder():
     ds = ladder_dataset(angles, [[10.0, 10.0]] * 3, [[1.0, 2.0]] * 3, profiles=2)
     groups = group_by_vertical_tick(ds, QUANTIZE)
     assert len(groups) == 3
-    assert [pytest.approx(c, rel=1e-12) for c in (0.002, 0.004, 0.006)] == [
-        g.vertical_angle_center for g in groups
-    ]
+    assert [pytest.approx(c, rel=1e-12) for c in (0.002, 0.004, 0.006)] == groups.center.tolist()
 
 
 def test_single_observation_single_group():
     ds = make_dataset([(0, 0.003, 0.0, 10.0, 55.0)])
     groups = group_by_vertical_tick(ds, EXPLICIT)
     assert len(groups) == 1
-    assert len(groups[0]) == 1
-    assert groups[0].vertical_angle_center == 0.003
+    assert groups.count.tolist() == [1]
+    assert groups.center.tolist() == [0.003]
 
 
 def test_quantize_without_spread_or_step_degenerate():
@@ -186,15 +184,23 @@ def test_quantize_step_whose_keys_leave_int64_is_degenerate(angles, step):
     assert len(group_by_vertical_tick(make_dataset([(0, 1.0, 0.0, 10.0, 55.0)]), fitting)) == 1
 
 
+@pytest.mark.parametrize("angles", [(-1e308, 0.5, 1e308), (-1e308, 1e308)], ids=["median", "gap"])
+def test_estimated_step_that_is_not_finite_is_degenerate(angles):
+    ds = make_dataset([(p, angle, 0.0, 10.0, 55.0) for p in range(40) for angle in angles])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateTicks, match=r"^cannot estimate tick step: the median angle gap is inf$"):
+            preprocess(ds, QUANTIZE)
+
+
 def test_grouped_arrays_are_read_only_and_leave_the_dataset_alone(rng):
     rows = [(p, float(rng.choice([0.01, 0.02, 0.03])), 0.0, 10.0 + p, 100.0 - p) for p in range(50)]
     ds = make_dataset(rows)
     before = {name: getattr(ds, name).copy() for name in ("vertical_angle", "range", "intensity")}
     groups = group_by_vertical_tick(ds, EXPLICIT)
-    for g in groups:
-        for values in (g.ranges, g.intensities):
-            with pytest.raises(ValueError):
-                values[0] = -1.0
+    for name in ("tick_id", "center", "count", "ranges", "intensities"):
+        with pytest.raises(ValueError):
+            getattr(groups, name)[0] = -1
     for name, column in before.items():
         assert np.array_equal(getattr(ds, name), column), name
 
@@ -205,7 +211,7 @@ def test_partition_property(rng):
         rows.append((i % 7, float(rng.choice([0.01, 0.02, 0.03])), 0.0, 10.0, 1.0))
     ds = make_dataset(rows)
     groups = group_by_vertical_tick(ds, EXPLICIT)
-    assert sum(len(g) for g in groups) == len(ds)
+    assert groups.count.sum() == len(groups.ranges) == len(groups.intensities) == len(ds)
 
 
 # ---- outlier rule --------------------------------------------------------------
@@ -215,20 +221,20 @@ def outlier_group(ranges, intensities=None):
     ranges = np.asarray(ranges, dtype=float)
     if intensities is None:
         intensities = np.full(ranges.size, 500.0)
-    return TickGroup(0, 0.0, ranges, np.asarray(intensities, dtype=float))
+    return TickGrouping([0], [0.0], [ranges.size], ranges, intensities)
 
 
 def test_single_gross_range_outlier_flagged():
     # 30 x 1.0 plus one 100.0: delta_mean = 95.81 > 3*sigma_mean = 53.34
     values = [1.0] * 30 + [100.0]
-    mask = detect_outliers([outlier_group(values)], PreprocessConfig())[0]
+    mask = detect_outliers(outlier_group(values), PreprocessConfig())
     assert mask.sum() == 1
     assert mask[30]
     assert std_about_mean(values) == pytest.approx(17.7809249, abs=1e-6)
 
 
 def test_constant_values_never_flagged():
-    mask = detect_outliers([outlier_group([7.0] * 40)], PreprocessConfig())[0]
+    mask = detect_outliers(outlier_group([7.0] * 40), PreprocessConfig())
     assert not mask.any()
 
 
@@ -239,7 +245,7 @@ def test_intensity_only_outlier_flagged_by_or_semantics():
     intens = np.full(n, 500.0)
     intens[::2] += 1.0
     intens[7] = 5000.0
-    mask = detect_outliers([outlier_group(ranges, intens)], PreprocessConfig())[0]
+    mask = detect_outliers(outlier_group(ranges, intens), PreprocessConfig())
     assert mask[7], "intensity spike must flag the observation"
     assert mask.sum() == 1
     expected = ref_outlier_mask(list(ranges), list(intens), 3.0)
@@ -254,13 +260,13 @@ def test_detect_outliers_matches_reference(rng):
         if rng.random() < 0.5:
             ranges[int(rng.integers(0, n))] += 1.0
         group = outlier_group(ranges, intens)
-        mask = detect_outliers([group], PreprocessConfig())[0]
+        mask = detect_outliers(group, PreprocessConfig())
         assert list(mask) == ref_outlier_mask(list(ranges), list(intens), 3.0)
 
 
 def test_detect_outliers_needs_two_members():
     with pytest.raises(TooFewValues):
-        detect_outliers([outlier_group([1.0])], PreprocessConfig())
+        detect_outliers(outlier_group([1.0]), PreprocessConfig())
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,14 +278,14 @@ def test_flags_scale_equivariant(values, exponent):
     # powers of two scale every intermediate exactly, so the flag set is
     # preserved bit-for-bit; other factors only match to rounding
     lam = 2.0**exponent
-    base = detect_outliers([outlier_group(values)], PreprocessConfig())[0]
-    scaled = detect_outliers([outlier_group([lam * v for v in values])], PreprocessConfig())[0]
+    base = detect_outliers(outlier_group(values), PreprocessConfig())
+    scaled = detect_outliers(outlier_group([lam * v for v in values]), PreprocessConfig())
     assert list(base) == list(scaled)
 
 
 def test_clean_gaussian_flag_fraction_bounded(rng):
     values = rng.normal(0.0, 1.0, 10_000)
-    mask = detect_outliers([outlier_group(values)], PreprocessConfig())[0]
+    mask = detect_outliers(outlier_group(values), PreprocessConfig())
     fraction = mask.mean()
     assert 0.0 <= fraction <= 0.008, f"flagged {fraction:.4%} on clean data"
 
@@ -339,9 +345,9 @@ def test_preprocess_equals_the_per_tick_reference(case):
     screened = []
     screen = pp.detect_outliers
 
-    def spy(groups, cfg):
-        screened.append([g.tick_id for g in groups])
-        return screen(groups, cfg)
+    def spy(ticks, cfg):
+        screened.append(ticks.tick_id.tolist())
+        return screen(ticks, cfg)
 
     try:
         expected, expected_screened = ref_preprocess(ds, cfg)
@@ -352,13 +358,43 @@ def test_preprocess_equals_the_per_tick_reference(case):
     with mock.patch.object(pp, "BLOCK_MEMBERS", block_members), \
             mock.patch.object(pp, "detect_outliers", spy):
         stats = preprocess(ds, cfg)
-        groups = [g for g in group_by_vertical_tick(ds, cfg) if len(g) >= 2]
-        together = screen(groups, cfg)
+        grouped = group_by_vertical_tick(ds, cfg)
+        ticks = grouped.select(grouped.count >= 2)
+        together = screen(ticks, cfg)
     assert typed_fields(stats) == typed_fields(expected)
     assert screened == expected_screened
-    assert len(together) == len(groups)
-    for g, mask in zip(groups, together):
-        assert np.array_equal(mask, screen([g], cfg)[0]), g.tick_id
+    assert len(together) == len(ticks.ranges)
+    ends = np.cumsum(ticks.count).tolist()
+    for i, (start, end) in enumerate(zip([0] + ends, ends)):
+        alone = screen(ticks.select(np.arange(len(ticks)) == i), cfg)
+        assert np.array_equal(together[start:end], alone), ticks.tick_id[i]
+
+
+def test_many_short_ticks_with_outliers_equal_the_per_tick_reference():
+    # 240 ticks of 40 members, 5% of members 8 sigma off, 3 passes: the
+    # shape where most ticks are screened again and counts drift apart
+    rng = np.random.default_rng(11)
+    ticks, n, sigma = 240, 40, 0.002
+    ranges = rng.normal(10.0, sigma, (ticks, n)) + 0.01 * np.arange(ticks)[:, None]
+    intensities = rng.normal(800.0, 30.0, (ticks, n))
+    spikes = rng.random((ticks, n)) < 0.05
+    ranges[spikes] += 8 * sigma * rng.choice([-1.0, 1.0], spikes.sum())
+    ds = ladder_dataset(np.arange(1, ticks + 1) * 0.001, ranges, intensities, profiles=n)
+    cfg = PreprocessConfig(max_passes=3)
+    screened = []
+    screen = pp.detect_outliers
+
+    def spy(ticks, cfg):
+        screened.append(ticks.tick_id.tolist())
+        return screen(ticks, cfg)
+
+    with mock.patch.object(pp, "detect_outliers", spy):
+        stats = preprocess(ds, cfg)
+    expected, expected_screened = ref_preprocess(ds, cfg)
+    assert typed_fields(stats) == typed_fields(expected)
+    assert screened == expected_screened
+    assert len(screened) == 3 and len(screened[0]) == ticks
+    assert len(set(s.count for s in stats)) > 1
 
 
 def test_equal_length_ticks_span_several_blocks(rng):
