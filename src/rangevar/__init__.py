@@ -47,6 +47,7 @@ from .preprocess import (
     TickGrouping,
     TickMode,
     TickStats,
+    TickTable,
     detect_outliers,
     group_by_vertical_tick,
     std_about_mean,
@@ -86,6 +87,7 @@ __all__ = [
     "TickGrouping",
     "TickMode",
     "TickStats",
+    "TickTable",
     "ValidationReport",
     "VcmBlocks",
     "build_vcm",

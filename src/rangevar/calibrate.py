@@ -13,22 +13,29 @@ the output carries units of intensity per meter); a squared r_ref would
 be unit-free, but the transform as defined is what the rest of the
 pipeline inverts and expects.
 
-A calibrated tick is a TickStats with calibrated_intensity set; the tick
-table codec in preprocess writes and reads that column. Raw-intensity
-datasets never pass through this module.
+A calibrated table is a TickTable with the calibrated_intensity column,
+which calibrate_ticks computes as one array expression; the tick table
+codec in preprocess writes and reads that column. Raw-intensity datasets
+never pass through this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import NonPositiveRange, RangevarError
-from .preprocess import TickStats, read_tick_stats_csv, tick_stats_to_csv
+from .preprocess import TickTable, read_tick_stats_csv, tick_stats_to_csv
 
 # The tick table has one codec; these names read and write calibrated tables.
 calibrated_ticks_to_csv = tick_stats_to_csv
 read_calibrated_ticks_csv = read_tick_stats_csv
+
+# Python's float ** (libm pow), elementwise: it rounds some squares unlike x*x and
+# np.square, and calibrate_intensity squares with it.
+_square = np.frompyfunc(lambda x: x**2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -61,17 +68,22 @@ def calibrate_intensity(mean_intensity: float, mean_range: float, cfg: Calibrati
     return calibrated
 
 
-def calibrate_ticks(stats: list[TickStats], cfg: CalibrationConfig) -> list[TickStats]:
-    """Set every tick's calibrated_intensity, preserving order.
-
-    All other fields are passed through untouched; an error names its tick.
+def calibrate_ticks(ticks: TickTable, cfg: CalibrationConfig) -> TickTable:
+    """The table with its calibrated_intensity column set; every other column
+    is passed through untouched. Where a tick fails a check, calibrate_intensity
+    runs tick by tick and raises the first bad tick's error, naming the tick.
     """
-    out: list[TickStats] = []
-    for s in stats:
-        try:
-            calibrated = calibrate_intensity(s.mean_intensity, s.mean_range, cfg)
-        except RangevarError as exc:
-            raise type(exc)(f"tick {s.tick_id}: {exc}") from None
-        out.append(TickStats(s.tick_id, s.vertical_angle_center, s.mean_intensity, s.mean_range,
-                             s.std_range, s.count, calibrated))
-    return out
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+            calibrated = ticks.mean_intensity * cfg.r_ref / _square(ticks.mean_range).astype(float)
+        valid = bool((ticks.mean_range > 0).all() and np.isfinite(calibrated).all())
+    except OverflowError:  # ** refuses a square past the float range
+        valid = False
+    if not valid:
+        columns = (ticks.tick_id.tolist(), ticks.mean_intensity.tolist(), ticks.mean_range.tolist())
+        for tick_id, mean_intensity, mean_range in zip(*columns):
+            try:
+                calibrate_intensity(mean_intensity, mean_range, cfg)
+            except RangevarError as exc:
+                raise type(exc)(f"tick {tick_id}: {exc}") from None
+    return replace(ticks, calibrated_intensity=calibrated)

@@ -293,19 +293,20 @@ def _simulate(cfg: simulate.SimulationConfig, out: Path) -> ingest.ScanDataset:
     return ds
 
 
-def _preprocess(ds: ingest.ScanDataset, cfg: preprocess.PreprocessConfig, out: Path) -> list:
+def _preprocess(ds: ingest.ScanDataset, cfg: preprocess.PreprocessConfig,
+                out: Path) -> preprocess.TickTable:
     stats = preprocess.preprocess(ds, cfg)
     _write_atomic(out / "ticks.csv", preprocess.tick_stats_to_csv(stats))
-    removed = len(ds) - sum(s.count for s in stats)
+    removed = len(ds) - int(stats.count.sum())
     print(f"{len(stats)} ticks kept, {removed} observations screened or under threshold -> {out / 'ticks.csv'}")
     return stats
 
 
-def _calibrate(stats: list, r_ref: float | None, out: Path) -> list:
+def _calibrate(stats: preprocess.TickTable, r_ref: float | None, out: Path) -> preprocess.TickTable:
     source = ""
     if r_ref is None:
         with np.errstate(over="ignore"):  # finite ranges can sum past the float range
-            r_ref = float(np.mean([s.mean_range for s in stats]))
+            r_ref = float(np.mean(stats.mean_range))
         if not math.isfinite(r_ref):
             raise RangevarError(f"the mean of the tick mean ranges is {r_ref!r} m; pass --r-ref")
         source = " (mean of tick mean ranges)"
@@ -316,11 +317,12 @@ def _calibrate(stats: list, r_ref: float | None, out: Path) -> list:
     return calibrated
 
 
-def _fit(ticks: list, args, kind: ingest.IntensityKind, out: Path) -> fit_mod.RangeVarianceModel:
+def _fit(ticks: preprocess.TickTable, args, kind: ingest.IntensityKind,
+         out: Path) -> fit_mod.RangeVarianceModel:
     """kind tags the model of an uncalibrated table; a calibrated one gives a calibrated model."""
     opts = fit_mod.FitOptions(
         max_iterations=args.max_iterations,
-        weights=tuple(float(t.count) for t in ticks) if args.weight_by_count else None,
+        weights=tuple(ticks.count.astype(float).tolist()) if args.weight_by_count else None,
         intensity_kind=kind,
     )
     report = fit_mod.fit_general_model(ticks, opts)
@@ -339,7 +341,7 @@ def _fit(ticks: list, args, kind: ingest.IntensityKind, out: Path) -> fit_mod.Ra
     return m
 
 
-def _evaluate(model: fit_mod.RangeVarianceModel, ticks: list, out: Path) -> None:
+def _evaluate(model: fit_mod.RangeVarianceModel, ticks: preprocess.TickTable, out: Path) -> None:
     report = evaluate_mod.evaluate_against_ticks(model, ticks)
     _write_atomic(out / "evaluation.csv", evaluate_mod.evaluation_report_to_csv(report))
     print(

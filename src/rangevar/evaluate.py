@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyGrid, EmptyStats, MissingColumn, NonPositiveIntensity
 from .fit import RangeVarianceModel, evaluate_model
 from .ingest import IntensityKind, ScanDataset, csv_text
-from .preprocess import TickStats, is_calibrated
+from .preprocess import TickTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,29 +98,30 @@ def _report(tick_id, intensity, observed, predicted, inside) -> EvaluationReport
     )
 
 
-def evaluate_against_ticks(m: RangeVarianceModel, stats: list[TickStats]) -> EvaluationReport:
+def evaluate_against_ticks(m: RangeVarianceModel, ticks: TickTable) -> EvaluationReport:
     """Model-vs-observation residuals over tick statistics.
 
     Calibrated models are evaluated at calibrated intensities, all others
     at the recorded mean intensity; a calibrated model on an uncalibrated
-    table (preprocess.is_calibrated) raises MissingColumn. Out-of-domain
-    ticks are kept and flagged extrapolated.
+    table raises MissingColumn. Out-of-domain ticks are kept and flagged
+    extrapolated.
     """
-    if not stats:
+    if not ticks:
         raise EmptyStats("no tick statistics to evaluate against")
-    calibrated = m.intensity_kind is IntensityKind.CALIBRATED
-    if calibrated and not is_calibrated(stats):
+    if m.intensity_kind is not IntensityKind.CALIBRATED:
+        intensity = ticks.mean_intensity
+    elif ticks.calibrated_intensity is None:
         raise MissingColumn("a calibrated model needs the tick table's calibrated_intensity column")
-    intensity = [t.calibrated_intensity if calibrated else t.mean_intensity for t in stats]
-    arr = np.array(intensity, dtype=float)
-    bad = np.flatnonzero(~(arr > 0))
+    else:
+        intensity = ticks.calibrated_intensity
+    bad = np.flatnonzero(~(intensity > 0))
     if bad.size:
-        raise NonPositiveIntensity(f"tick {stats[bad[0]].tick_id}: intensity {intensity[bad[0]]!r}")
+        i = bad[0]
+        raise NonPositiveIntensity(f"tick {int(ticks.tick_id[i])}: intensity {float(intensity[i])!r}")
     lo, hi = m.intensity_domain
     return _report(
-        np.array([t.tick_id for t in stats], dtype=np.int64), arr,
-        np.array([t.std_range for t in stats], dtype=float),
-        evaluate_model(m, arr), (lo <= arr) & (arr <= hi),
+        ticks.tick_id, intensity, ticks.std_range,
+        evaluate_model(m, intensity), (lo <= intensity) & (intensity <= hi),
     )
 
 

@@ -34,7 +34,7 @@ from .errors import (
     TooFewPoints,
 )
 from .ingest import IntensityKind
-from .preprocess import TickStats, is_calibrated
+from .preprocess import TickTable
 
 
 @dataclass(frozen=True)
@@ -285,19 +285,19 @@ def fit_model(points, opts: FitOptions = FitOptions()) -> FitReport:
     return FitReport(model, iterations, cost, converged, stddevs)
 
 
-def fit_general_model(ticks: list[TickStats], opts: FitOptions = FitOptions()) -> FitReport:
-    """fit_model on a tick table: a calibrated one (preprocess.is_calibrated) on its calibrated
-    intensities, tagged CALIBRATED; any other on its mean intensities, tagged opts.intensity_kind
-    unless that is CALIBRATED (MissingColumn). A mixed table raises ValueError.
+def fit_general_model(ticks: TickTable, opts: FitOptions = FitOptions()) -> FitReport:
+    """fit_model on a tick table: a calibrated one on its calibrated intensities, tagged
+    CALIBRATED; any other on its mean intensities, tagged opts.intensity_kind unless that
+    is CALIBRATED (MissingColumn).
     """
-    if is_calibrated(ticks):
-        points = [(t.calibrated_intensity, t.std_range) for t in ticks]
+    if ticks.calibrated_intensity is not None:
+        intensity = ticks.calibrated_intensity
         opts = replace(opts, intensity_kind=IntensityKind.CALIBRATED)
     elif ticks and opts.intensity_kind is IntensityKind.CALIBRATED:
         raise MissingColumn("a calibrated fit needs the tick table's calibrated_intensity column")
     else:
-        points = [(t.mean_intensity, t.std_range) for t in ticks]
-    return fit_model(points, opts)
+        intensity = ticks.mean_intensity
+    return fit_model(np.column_stack((intensity, ticks.std_range)), opts)
 
 
 # ---- JSON interface ----------------------------------------------------------

@@ -33,7 +33,8 @@ A ScanDataset holds its observations as five numpy columns. The parser
 converts the body in blocks of lines with numpy's text reader and checks
 each block with array masks; a block that fails any check is parsed
 again row by row, which raises the error naming the first bad line (or,
-in lenient mode, drops the bad rows).
+in lenient mode, drops the bad rows). preprocess reads the tick table
+through the same block reader (split_lines, parse_block).
 """
 
 from __future__ import annotations
@@ -219,30 +220,42 @@ def _parse_rows(block: list[str], first_line: int, positions: list[int], lenient
     return [np.array(c, dtype=_DTYPES[name]) for name, c in zip(_COLUMNS, columns)], skipped
 
 
-def _parse_block(block: list[str], row_dtype: np.dtype):
-    """The five columns of a block in which every line is a valid row, else None.
+def split_lines(text: str) -> tuple[list[str], bool]:
+    """The lines of text, as str.splitlines counts them, and whether parse_block may
+    convert them: numpy's text reader takes a \\x1f next to a field for a space, which
+    int() and float() refuse."""
+    return text.splitlines(), "\x1f" not in text
 
-    numpy's text reader converts the fields in C. What it accepts, it reads
-    as int() and float() do (the same correctly rounded conversion), and it
-    refuses the rest of their syntax (underscores, non-ASCII digits). It
-    skips empty lines, so a block holding one is left to the per-row parse.
+
+def parse_block(block: list[str], row_dtype: np.dtype, names, valid):
+    """The named columns of a block in which every line is a row, else None.
+
+    numpy's text reader converts the fields in C, row_dtype giving each
+    field's type in line order. What it accepts, it reads as int() and
+    float() do (the same correctly rounded conversion), and it refuses the
+    rest of their syntax (underscores, non-ASCII digits). It skips empty
+    lines, so an empty block or one holding an empty line is left to the
+    per-row parse, and so is a block whose columns valid(*columns) refuses:
+    the table's checks, as masks. Only lines of a text that split_lines
+    allows may be passed.
     """
-    if "" in block:
+    if not block or "" in block:
         return None
     try:
         rows = np.loadtxt(block, dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return None
-    columns = [rows[name] for name in _COLUMNS]
-    profile, _, _, rng, inten = columns
-    if not (
+    columns = [rows[name] for name in names]
+    return columns if valid(*columns) else None
+
+
+def _valid_scan_rows(profile, vertical, horizontal, rng, inten) -> bool:
+    return bool(
         (profile >= 0).all()
-        and all(np.isfinite(column).all() for column in columns[1:])
+        and all(np.isfinite(column).all() for column in (vertical, horizontal, rng, inten))
         and (rng > 0).all()
         and (inten >= 0).all()
-    ):
-        return None
-    return columns
+    )
 
 
 def parse_profile_csv(source, lenient: bool = False) -> ScanDataset:
@@ -254,7 +267,7 @@ def parse_profile_csv(source, lenient: bool = False) -> ScanDataset:
     survive. Observation order equals file row order. A one-line str
     source is a path, so a missing file raises FileNotFoundError.
     """
-    lines = _read_text(source).splitlines()
+    lines, columnar = split_lines(_read_text(source))
 
     meta_kw: dict = {}
     line_number = 0
@@ -303,7 +316,7 @@ def parse_profile_csv(source, lenient: bool = False) -> ScanDataset:
     skipped = 0
     for start in range(line_number, len(lines), _BLOCK_LINES):
         block = lines[start:start + _BLOCK_LINES]
-        columns = _parse_block(block, row_dtype)
+        columns = parse_block(block, row_dtype, _COLUMNS, _valid_scan_rows) if columnar else None
         if columns is None:
             columns, bad = _parse_rows(block, start + 1, positions, lenient)
             skipped += bad

@@ -14,26 +14,36 @@ so constant channels never flag. Statistics are frozen per pass: all
 flags of one pass are computed from the same statistics, then flagged
 members are removed together.
 
-Ticks are held as columns (TickGrouping), not as objects. All ticks of a
-pass are screened together, and the survivors reduced together, as (ticks,
-members) matrices of equal-count ticks, with one row-wise numpy reduction
-per statistic. On numpy 2.4.6 a contiguous row reduces with the same
-pairwise summation as the 1-D call, so every value is bit-identical to
-computing its tick alone; this rests on numpy's internals, and
-tests/test_preprocess.py checks it against the per-tick reference
-(test_preprocess_equals_the_per_tick_reference).
+Ticks are held as columns, not as objects: a TickGrouping while they are
+screened, a TickTable once reduced. All ticks of a pass are screened
+together, and the survivors reduced together, as (ticks, members) matrices
+of equal-count ticks, with one row-wise numpy reduction per statistic. On
+numpy 2.4.6 a contiguous row reduces with the same pairwise summation as
+the 1-D call, so every value is bit-identical to computing its tick alone;
+this rests on numpy's internals, and tests/test_preprocess.py checks it
+against the per-tick reference (test_preprocess_equals_the_per_tick_reference).
+
+The TickTable is what calibrate, fit and evaluate take and what the tick
+table codec at the end of this module writes and reads; no stage reads
+its TickStats rows. preprocess builds the rows of the table it returns
+before returning it: perfbench's preprocess counter sums their counts
+right after the call, and rows built there would fall outside every span
+of its trace.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from itertools import repeat
 from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
-from .ingest import ScanDataset, csv_text, parse_float, parse_index
+from .ingest import ScanDataset, csv_text, parse_block, parse_float, parse_index, split_lines
 
 # Members gathered into one (ticks, members) block at most: one block per member count
 # raised the full-size scan_files peak RSS from 196.5 to 223.0 MB (BENCH_5.json, block_cap).
@@ -82,6 +92,12 @@ class PreprocessConfig:
             raise ValueError(f"tick_step must be finite and > 0, got {self.tick_step!r}")
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype).view()
+    column.flags.writeable = False  # on the view: the caller's array stays writeable
+    return column
+
+
 @dataclass(frozen=True, eq=False)
 class TickGrouping:
     """Observations grouped by vertical tick, as read-only columns.
@@ -99,9 +115,7 @@ class TickGrouping:
 
     def __post_init__(self):
         for field, dtype in zip(fields(self), (np.int64, float, np.int64, float, float)):
-            column = np.asarray(getattr(self, field.name), dtype=dtype).view()
-            column.flags.writeable = False  # on the view: the caller's array stays writeable
-            object.__setattr__(self, field.name, column)
+            object.__setattr__(self, field.name, _read_only(getattr(self, field.name), dtype))
         if not (len(self.tick_id) == len(self.center) == len(self.count)
                 and self.count.sum() == len(self.ranges) == len(self.intensities)):
             raise ValueError("tick columns must share one length and counts must sum to the member count")
@@ -118,13 +132,8 @@ class TickGrouping:
                             self.ranges[members], self.intensities[members])
 
 
-@dataclass(frozen=True)
-class TickStats:
-    """Reduced statistics of one surviving tick.
-
-    calibrated_intensity is None until calibrate.calibrate_ticks maps
-    the mean (scaled) intensity to a reference range.
-    """
+class TickStats(NamedTuple):
+    """One row of a TickTable, as Python values: what iterating a table yields."""
 
     tick_id: int
     vertical_angle_center: float  # rad
@@ -135,12 +144,62 @@ class TickStats:
     calibrated_intensity: float | None = None
 
 
-def is_calibrated(stats: list[TickStats]) -> bool:
-    """Whether every tick has a calibrated_intensity; a mixed list raises ValueError."""
-    calibrated = sum(s.calibrated_intensity is not None for s in stats)
-    if 0 < calibrated < len(stats):
-        raise ValueError(f"{calibrated} of {len(stats)} ticks are calibrated; a tick table needs all or none")
-    return calibrated > 0
+_TICK_DTYPES = {name: np.int64 if name in ("tick_id", "count") else np.float64
+                for name in TickStats._fields}
+
+
+@dataclass(frozen=True, eq=False)
+class TickTable:
+    """Reduced statistics of the surviving ticks, as read-only columns.
+
+    Row i of every column is one tick: tick_id and count (int64),
+    vertical_angle_center (rad), mean_intensity (as recorded), mean_range
+    (m) and std_range (mm, the only mm conversion in the pipeline), all
+    float64. calibrated_intensity is None until calibrate.calibrate_ticks
+    adds the column, so a table is calibrated throughout or not at all.
+    len() is the tick count; iterating yields TickStats rows; tables are
+    equal when their columns are equal by value.
+    """
+
+    tick_id: np.ndarray
+    vertical_angle_center: np.ndarray
+    mean_intensity: np.ndarray
+    mean_range: np.ndarray
+    std_range: np.ndarray
+    count: np.ndarray
+    calibrated_intensity: np.ndarray | None = None
+
+    def __post_init__(self):
+        for field in fields(self):
+            if getattr(self, field.name) is not None:
+                column = _read_only(getattr(self, field.name), _TICK_DTYPES[field.name])
+                object.__setattr__(self, field.name, column)
+        shapes = [column.shape for column in self._columns()]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"tick columns must be 1-D and of one length, got shapes {shapes}")
+
+    def _columns(self) -> list[np.ndarray]:
+        columns = [getattr(self, field.name) for field in fields(self)]
+        return columns if self.calibrated_intensity is not None else columns[:-1]
+
+    def __len__(self) -> int:
+        return len(self.tick_id)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    @cached_property
+    def rows(self) -> tuple[TickStats, ...]:
+        """The ticks as TickStats rows of Python values, built once, on first use."""
+        columns = (getattr(self, name) for name in TickStats._fields)
+        rows = zip(*(repeat(None) if c is None else c.tolist() for c in columns))
+        return tuple(map(tuple.__new__, repeat(TickStats), rows))  # TickStats._make, without its call
+
+    def __eq__(self, other):
+        if not isinstance(other, TickTable):
+            return NotImplemented
+        mine, theirs = self._columns(), other._columns()
+        return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
 
 
 def _spread(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -195,7 +254,9 @@ def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> TickGroupi
         raise TooFewValues("empty dataset")
     angles = ds.vertical_angle
     if cfg.tick_mode is TickMode.EXPLICIT_COLUMN:
+        # np.unique, not a stable sort: it picks the center of a tick holding 0.0 and -0.0
         centers, inverse, count = np.unique(angles, return_inverse=True, return_counts=True)
+        order = np.argsort(inverse, kind="stable")
     else:
         step = cfg.tick_step if cfg.tick_step is not None else _estimate_step(angles)
         with np.errstate(over="ignore"):  # a tiny step overflows to inf, refused below
@@ -203,10 +264,12 @@ def group_by_vertical_tick(ds: ScanDataset, cfg: PreprocessConfig) -> TickGroupi
         if not max(keys.max(), -keys.min()) < 2.0**63:
             raise DegenerateTicks(f"tick step {step!r} rad: the largest |angle| / step overflows int64")
         keys = keys.astype(np.int64)  # rebinding frees the float keys before the sort below
-        distinct_keys, inverse, count = np.unique(keys, return_inverse=True, return_counts=True)
-        centers = distinct_keys * step
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        count = np.diff(first, append=len(keys))
+        centers = keys[first] * step
 
-    order = np.argsort(inverse, kind="stable")
     return TickGrouping(np.arange(len(centers)), centers, count, ds.range[order], ds.intensity[order])
 
 
@@ -255,12 +318,12 @@ def detect_outliers(ticks: TickGrouping, cfg: PreprocessConfig) -> np.ndarray:
     return flags
 
 
-def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> list[TickStats]:
+def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> TickTable:
     """Group, screen, filter, and reduce a dataset to per-tick statistics.
 
     Pipeline: group_by_vertical_tick -> max_passes rounds of detect_outliers
     with batch removal -> drop ticks with fewer than min_tick_count members ->
-    TickStats with std_range in millimeters. Each pass calls detect_outliers
+    a TickTable with std_range in millimeters. Each pass calls detect_outliers
     once, with the ticks still being screened; a tick leaves them when a pass
     flags nothing in it or fewer than 2 members remain.
     """
@@ -285,8 +348,9 @@ def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> l
         mean_intensity[positions] = intensities.mean(axis=1)
         mean_range[positions] = mean = ranges.mean(axis=1)
         std_mm[positions] = _spread(ranges, mean) * 1000.0
-    return list(map(TickStats, ticks.tick_id.tolist(), ticks.center.tolist(), mean_intensity.tolist(),
-                    mean_range.tolist(), std_mm.tolist(), ticks.count.tolist()))
+    table = TickTable(ticks.tick_id, ticks.center, mean_intensity, mean_range, std_mm, ticks.count)
+    table.rows  # built here, not after the call (see the module docstring)
+    return table
 
 
 # ---- CSV interface -----------------------------------------------------------
@@ -295,47 +359,67 @@ TICK_STATS_HEADER = "tick_id,vertical_angle_center,mean_intensity,mean_range_m,s
 CALIBRATED_HEADER = TICK_STATS_HEADER + ",calibrated_intensity"
 
 
-def tick_stats_to_csv(stats: list[TickStats]) -> str:
-    """Render TickStats rows as CSV with round-trip float formatting.
-
-    A calibrated table (is_calibrated) adds the calibrated_intensity
-    column; a mixed list is refused.
-    """
-    calibrated = is_calibrated(stats)
-    names = [f.name for f in fields(TickStats)][: 7 if calibrated else 6]
-    header = CALIBRATED_HEADER if calibrated else TICK_STATS_HEADER
-    return csv_text([header], [[getattr(s, name) for s in stats] for name in names])
+def tick_stats_to_csv(ticks: TickTable) -> str:
+    """Render a TickTable as CSV with round-trip float formatting; a
+    calibrated table adds the calibrated_intensity column."""
+    calibrated = ticks.calibrated_intensity is not None
+    return csv_text([CALIBRATED_HEADER if calibrated else TICK_STATS_HEADER], ticks._columns())
 
 
-def read_tick_stats_csv(text: str) -> list[TickStats]:
-    """Parse the tick_stats_to_csv format back into TickStats rows.
+def _valid_ticks(tick_id, center, intensity, mean_range, std, count, *calibrated) -> bool:
+    return bool(
+        (tick_id >= 0).all()
+        and (count >= 1).all()
+        and all(np.isfinite(c).all() for c in (center, intensity, mean_range, std, *calibrated))
+        and (mean_range > 0).all()
+        and (std >= 0).all()
+    )
+
+
+def _parse_tick_rows(lines: list[str], first_line: int, width: int) -> list[tuple]:
+    """Row-by-row parse of the body: its columns, or the error naming its first bad line."""
+    rows = []
+    for n, ln in enumerate(lines, first_line):
+        ln = ln.strip()
+        if not ln:
+            continue
+        f = ln.split(",")
+        if len(f) != width:
+            raise MalformedRow(n, f"expected {width} fields, got {len(f)}")
+        row = [parse_index(f[0], n, "tick_id"), parse_float(f[1], n, "vertical_angle_center"),
+               parse_float(f[2], n, "mean_intensity"), parse_float(f[3], n, "mean_range_m"),
+               parse_float(f[4], n, "std_range_mm"), parse_index(f[5], n, "count", 1)]
+        if width == 7:
+            row.append(parse_float(f[6], n, "calibrated_intensity"))
+        if row[3] <= 0:
+            raise MalformedRow(n, f"mean_range_m must be > 0, got {row[3]!r}")
+        if row[4] < 0:
+            raise MalformedRow(n, f"std_range_mm must be >= 0, got {row[4]!r}")
+        rows.append(row)
+    return list(zip(*rows)) or [()] * width
+
+
+def read_tick_stats_csv(text: str) -> TickTable:
+    """Parse the tick_stats_to_csv format back into a TickTable.
 
     The header chooses the layout, with or without calibrated_intensity.
     Blank lines are skipped. Fields convert as scan fields do: a bad header,
     field count or number, a non-finite float, a tick_id outside [0, 2**63),
     a count outside [1, 2**63), mean_range_m <= 0 or std_range_mm < 0 raises
-    MalformedRow naming its 1-based line.
+    MalformedRow naming its 1-based line. The body is converted as one
+    block of the scan parser's (ingest.parse_block); a body that fails a
+    check there is parsed again row by row, which raises the error.
     """
-    numbered = ((n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1))
-    lines = ((n, ln) for n, ln in numbered if ln)
-    header_line, header = next(lines, (1, ""))
+    lines, columnar = split_lines(text)
+    start = next((n for n, ln in enumerate(lines) if ln.strip()), None)
+    header = "" if start is None else lines[start].strip()
     if header not in (TICK_STATS_HEADER, CALIBRATED_HEADER):
-        raise MalformedRow(header_line, "not a tick statistics CSV (bad or missing header)")
+        line = 1 if start is None else start + 1
+        raise MalformedRow(line, "not a tick statistics CSV (bad or missing header)")
     width = header.count(",") + 1
-    stats = []
-    for n, ln in lines:
-        f = ln.split(",")
-        if len(f) != width:
-            raise MalformedRow(n, f"expected {width} fields, got {len(f)}")
-        tick = TickStats(
-            parse_index(f[0], n, "tick_id"), parse_float(f[1], n, "vertical_angle_center"),
-            parse_float(f[2], n, "mean_intensity"), parse_float(f[3], n, "mean_range_m"),
-            parse_float(f[4], n, "std_range_mm"), parse_index(f[5], n, "count", 1),
-            parse_float(f[6], n, "calibrated_intensity") if width == 7 else None,
-        )
-        if tick.mean_range <= 0:
-            raise MalformedRow(n, f"mean_range_m must be > 0, got {tick.mean_range!r}")
-        if tick.std_range < 0:
-            raise MalformedRow(n, f"std_range_mm must be >= 0, got {tick.std_range!r}")
-        stats.append(tick)
-    return stats
+    row_dtype = np.dtype([(name, _TICK_DTYPES[name]) for name in TickStats._fields[:width]])
+    body = lines[start + 1:]
+    columns = parse_block(body, row_dtype, row_dtype.names, _valid_ticks) if columnar else None
+    if columns is None:
+        return TickTable(*_parse_tick_rows(body, start + 2, width))
+    return TickTable(*(column.copy() for column in columns))  # contiguous; frees the records

@@ -12,6 +12,10 @@ preprocess ran before ticks were screened and reduced together, numpy
 stacked code must reproduce. ref_outlier_mask checks the rule itself by
 the independent path.
 
+ref_read_tick_stats_csv is the tick table reader as it parsed row by row
+before it shared the scan parser's block reader, copied unchanged apart
+from its name; its rows and errors are the baseline.
+
 The ref_*_csv writers and ref_serialize_dataset are the table writers as
 each module wrote its own rows before they shared ingest.csv_text, copied
 unchanged apart from their names; their bytes are the baseline. The
@@ -33,7 +37,8 @@ from rangevar.errors import (
     NonFiniteValue,
 )
 from rangevar.evaluate import EVALUATION_HEADER, VCM_HEADER
-from rangevar.preprocess import CALIBRATED_HEADER, TICK_STATS_HEADER
+from rangevar.ingest import parse_float, parse_index
+from rangevar.preprocess import CALIBRATED_HEADER, TICK_STATS_HEADER, TickStats
 from rangevar.simulate import GROUND_TRUTH_HEADER
 
 
@@ -133,7 +138,7 @@ def ref_preprocess(ds, cfg):
     import numpy as np
 
     from rangevar.errors import NoSurvivingTicks
-    from rangevar.preprocess import TickMode, TickStats, _estimate_step
+    from rangevar.preprocess import TickMode, _estimate_step
 
     angles = ds.vertical_angle
     if cfg.tick_mode is TickMode.EXPLICIT_COLUMN:
@@ -259,6 +264,40 @@ def ref_parse_scan(text, lenient=False):
     if not columns["profile"]:
         raise EmptyDataset("no rows")
     return columns, skipped
+
+
+def ref_read_tick_stats_csv(text: str) -> list[TickStats]:
+    """Parse the tick_stats_to_csv format back into TickStats rows.
+
+    The header chooses the layout, with or without calibrated_intensity.
+    Blank lines are skipped. Fields convert as scan fields do: a bad header,
+    field count or number, a non-finite float, a tick_id outside [0, 2**63),
+    a count outside [1, 2**63), mean_range_m <= 0 or std_range_mm < 0 raises
+    MalformedRow naming its 1-based line.
+    """
+    numbered = ((n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1))
+    lines = ((n, ln) for n, ln in numbered if ln)
+    header_line, header = next(lines, (1, ""))
+    if header not in (TICK_STATS_HEADER, CALIBRATED_HEADER):
+        raise MalformedRow(header_line, "not a tick statistics CSV (bad or missing header)")
+    width = header.count(",") + 1
+    stats = []
+    for n, ln in lines:
+        f = ln.split(",")
+        if len(f) != width:
+            raise MalformedRow(n, f"expected {width} fields, got {len(f)}")
+        tick = TickStats(
+            parse_index(f[0], n, "tick_id"), parse_float(f[1], n, "vertical_angle_center"),
+            parse_float(f[2], n, "mean_intensity"), parse_float(f[3], n, "mean_range_m"),
+            parse_float(f[4], n, "std_range_mm"), parse_index(f[5], n, "count", 1),
+            parse_float(f[6], n, "calibrated_intensity") if width == 7 else None,
+        )
+        if tick.mean_range <= 0:
+            raise MalformedRow(n, f"mean_range_m must be > 0, got {tick.mean_range!r}")
+        if tick.std_range < 0:
+            raise MalformedRow(n, f"std_range_mm must be >= 0, got {tick.std_range!r}")
+        stats.append(tick)
+    return stats
 
 
 def ref_simulate_rows(cfg):

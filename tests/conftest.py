@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rangevar.ingest import IntensityKind, ScanDataset, ScanMeta
+from rangevar.preprocess import TickStats, TickTable
 
 
 def make_dataset(rows, kind=IntensityKind.RAW):
@@ -35,6 +36,15 @@ def ladder_dataset(angle_values, ranges_per_angle, intensities_per_angle, profil
             rows.append((p, float(angle), 0.0, float(ranges_per_angle[i][p]),
                          float(intensities_per_angle[i][p])))
     return make_dataset(rows)
+
+
+def tick_table(rows):
+    """TickTable from TickStats rows, calibrated when its rows carry a calibrated_intensity."""
+    *columns, calibrated = map(list, zip(*rows)) if rows else [[]] * len(TickStats._fields)
+    if not calibrated or None in calibrated:
+        assert set(calibrated) <= {None}, "a tick table is calibrated throughout or not at all"
+        calibrated = None
+    return TickTable(*columns, calibrated)
 
 
 @pytest.fixture

@@ -1,11 +1,14 @@
 """Reference-range calibration of scaled intensities."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tick_table
 from rangevar.calibrate import (
     CalibrationConfig,
     calibrate_intensity,
@@ -14,6 +17,9 @@ from rangevar.calibrate import (
     read_calibrated_ticks_csv,
 )
 from rangevar.errors import NonPositiveRange, RangevarError
+from rangevar.evaluate import evaluate_against_ticks
+from rangevar.fit import RangeVarianceModel
+from rangevar.ingest import IntensityKind
 from rangevar.preprocess import TickStats
 
 
@@ -40,17 +46,17 @@ def test_bad_r_ref_rejected():
 
 def test_equal_intensity_distance_ratio():
     # equal recorded intensity at 10 m and 20 m: calibrated values 4:1
-    ticks = [tick(0, 80.0, 10.0), tick(1, 80.0, 20.0)]
-    cal = calibrate_ticks(ticks, CalibrationConfig(10.0))
-    assert cal[0].calibrated_intensity == pytest.approx(4.0 * cal[1].calibrated_intensity)
+    ticks = tick_table([tick(0, 80.0, 10.0), tick(1, 80.0, 20.0)])
+    cal = calibrate_ticks(ticks, CalibrationConfig(10.0)).calibrated_intensity
+    assert cal[0] == pytest.approx(4.0 * cal[1])
 
 
 def test_empty_list_gives_empty_list():
-    assert calibrate_ticks([], CalibrationConfig(10.0)) == []
+    assert list(calibrate_ticks(tick_table([]), CalibrationConfig(10.0))) == []
 
 
 def test_error_carries_tick_context():
-    ticks = [tick(0, 80.0, 10.0), tick(7, 80.0, -1.0)]
+    ticks = tick_table([tick(0, 80.0, 10.0), tick(7, 80.0, -1.0)])
     with pytest.raises(NonPositiveRange) as err:
         calibrate_ticks(ticks, CalibrationConfig(10.0))
     assert "tick 7" in str(err.value)
@@ -62,7 +68,7 @@ def test_error_carries_tick_context():
     ids=["range-squared-overflows", "range-squared-underflows", "zero-over-zero", "result-overflows"],
 )
 def test_result_outside_the_float_range_names_the_tick(intensity, mean_range, r_ref):
-    ticks = [tick(0, 80.0, 10.0), tick(4, intensity, mean_range)]
+    ticks = tick_table([tick(0, 80.0, 10.0), tick(4, intensity, mean_range)])
     with pytest.raises(RangevarError, match=r"^tick 4: calibrating intensity .* leaves the float range$"):
         calibrate_ticks(ticks, CalibrationConfig(r_ref))
 
@@ -75,8 +81,8 @@ def test_zero_intensity_and_finite_results_keep_the_formula():
 
 
 def test_calibration_leaves_everything_else_untouched():
-    ticks = [tick(3, 45.0, 12.5, std=2.25, count=321)]
-    cal = calibrate_ticks(ticks, CalibrationConfig(10.0))[0]
+    ticks = tick_table([tick(3, 45.0, 12.5, std=2.25, count=321)])
+    [cal] = calibrate_ticks(ticks, CalibrationConfig(10.0))
     assert cal.tick_id == 3
     assert cal.std_range == 2.25
     assert cal.count == 321
@@ -156,7 +162,52 @@ def test_simulator_inverse_square_recovers_truth_to_1e9():
 
 
 def test_calibrated_csv_round_trip():
-    ticks = [tick(0, 80.0, 10.0), tick(1, 75.5, 20.0)]
+    ticks = tick_table([tick(0, 80.0, 10.0), tick(1, 75.5, 20.0)])
     cal = calibrate_ticks(ticks, CalibrationConfig(12.5))
     back = read_calibrated_ticks_csv(calibrated_ticks_to_csv(cal))
     assert back == cal
+
+
+def test_calibrated_column_is_the_scalar_formula_bit_for_bit():
+    # Python's ** squares with libm pow, which rounds some squares unlike x*x
+    ranges = np.random.default_rng(5).uniform(5.0, 60.0, 100_000)
+    assert np.count_nonzero(ranges * ranges != np.array([r**2 for r in ranges.tolist()])) > 0
+    intensities = np.random.default_rng(6).uniform(1.0, 1e5, ranges.size)
+    ticks = tick_table([tick(i, x, r) for i, (x, r) in enumerate(zip(intensities.tolist(), ranges.tolist()))])
+    cfg = CalibrationConfig(12.5)
+    expected = [calibrate_intensity(x, r, cfg) for x, r in zip(intensities.tolist(), ranges.tolist())]
+    cal = calibrate_ticks(ticks, cfg)
+    assert cal.calibrated_intensity.tobytes() == np.array(expected).tobytes()
+    assert all(np.array_equal(getattr(cal, name), getattr(ticks, name)) for name in TickStats._fields[:-1])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(1500.0, 10.0), (900.0, 12.0), (800.0, 20.0), (700.0, -1.0), (600.0, 30.0), (1500.0, 1e200)],
+         "tick 3: mean_range must be > 0, got -1.0"),
+        ([(1500.0, 10.0), (900.0, 1e200), (800.0, 20.0)],
+         "tick 1: calibrating intensity 900.0 at 1e+200 m leaves the float range"),
+        ([(1500.0, 10.0), (900.0, 12.0), (800.0, 1e-200)],
+         "tick 2: calibrating intensity 800.0 at 1e-200 m leaves the float range"),
+    ],
+    ids=["first-bad-tick-wins", "square-overflows", "square-underflows"],
+)
+def test_column_errors_read_as_the_scalar_ones(rows, message):
+    ticks = tick_table([tick(i, x, r) for i, (x, r) in enumerate(rows)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangevarError) as err:
+            calibrate_ticks(ticks, CalibrationConfig(10.0))
+    assert str(err.value) == message
+
+
+def test_non_positive_intensity_error_names_python_values():
+    ticks = tick_table([TickStats(0, 0.001, 80.0, 10.0, 1.0, 100, 5.0),
+                        TickStats(9, 0.002, 80.0, 10.0, 1.0, 100, -2.5)])
+    m = RangeVarianceModel(1.0, -1.0, 0.1, (1.0, 10.0), IntensityKind.CALIBRATED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangevarError) as err:
+            evaluate_against_ticks(m, ticks)
+    assert str(err.value) == "tick 9: intensity -2.5"

@@ -1,13 +1,14 @@
 """Residual metrics, model comparison grids, and VCM blocks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, tick_table
 from rangevar.errors import EmptyGrid, EmptyStats, MissingColumn, NonPositiveIntensity
 from rangevar.evaluate import (
     AngularSigmas,
@@ -71,7 +72,7 @@ def test_metrics_match_fsum_reference(rng):
 def test_exact_ticks_give_zero_residuals():
     m = model(29853.0, -1.02, 0.08)
     ticks = [tick(i, I, evaluate_model(m, I)) for i, I in enumerate([1e3, 1e4, 1e5])]
-    rep = evaluate_against_ticks(m, ticks)
+    rep = evaluate_against_ticks(m, tick_table(ticks))
     assert rep.rmse == 0.0
     assert rep.max_abs_residual == 0.0
     assert rep.residuals.tolist() == [0.0, 0.0, 0.0]
@@ -79,7 +80,7 @@ def test_exact_ticks_give_zero_residuals():
 
 def test_residual_is_predicted_minus_observed():
     m = model(0.0, -1.0, 1.0)  # constant prediction of 1 mm
-    rep = evaluate_against_ticks(m, [tick(0, 1e4, 0.95)])
+    rep = evaluate_against_ticks(m, tick_table([tick(0, 1e4, 0.95)]))
     assert rep.residuals[0] == pytest.approx(0.05)
     assert rep.predicted_std[0] == 1.0
     assert rep.observed_std[0] == 0.95
@@ -88,7 +89,7 @@ def test_residual_is_predicted_minus_observed():
 def test_out_of_domain_ticks_flagged_not_dropped():
     m = model(0.0, -1.0, 1.0, domain=(1e3, 1e4))
     ticks = [tick(0, 500.0, 1.0), tick(1, 5e3, 1.0), tick(2, 2e4, 1.0)]
-    rep = evaluate_against_ticks(m, ticks)
+    rep = evaluate_against_ticks(m, tick_table(ticks))
     assert len(rep.residuals) == 3
     assert rep.extrapolated.tolist() == [True, False, True]
     assert rep.extrapolated_count == 2
@@ -96,24 +97,25 @@ def test_out_of_domain_ticks_flagged_not_dropped():
 
 def test_domain_endpoints_count_as_inside():
     m = model(0.0, -1.0, 1.0, domain=(1e3, 1e4))
-    rep = evaluate_against_ticks(m, [tick(0, 1e3, 1.0), tick(1, 1e4, 1.0)])
+    rep = evaluate_against_ticks(m, tick_table([tick(0, 1e3, 1.0), tick(1, 1e4, 1.0)]))
     assert rep.extrapolated_count == 0
 
 
 def test_calibrated_model_requires_calibrated_ticks():
     m = model(0.0, -1.0, 1.0, kind=IntensityKind.CALIBRATED)
+    plain = tick_table([tick(0, 1e4, 1.0), tick(1, 1e3, 1.0)])
     with pytest.raises(MissingColumn, match="calibrated_intensity"):
-        evaluate_against_ticks(m, [tick(0, 1e4, 1.0)])
-    calibrated = TickStats(1, 0.002, 100.0, 10.0, 0.5, 50, calibrated_intensity=2.0)
-    with pytest.raises(ValueError, match="1 of 2 ticks are calibrated; a tick table needs all or none"):
-        evaluate_against_ticks(m, [calibrated, tick(0, 1e4, 1.0)])
+        evaluate_against_ticks(m, plain)
+    # a mixed table cannot be built: a calibrated column must cover every tick
+    with pytest.raises(ValueError, match="tick columns must be 1-D and of one length"):
+        replace(plain, calibrated_intensity=[2.0])
 
 
 def test_calibrated_model_reads_calibrated_abscissa():
     m = model(1.0, -1.0, 0.0, kind=IntensityKind.CALIBRATED)
     # raw mean intensity would predict 1/100; calibrated must win
     ct = TickStats(0, 0.001, 100.0, 10.0, 0.5, 50, calibrated_intensity=2.0)
-    rep = evaluate_against_ticks(m, [ct])
+    rep = evaluate_against_ticks(m, tick_table([ct]))
     assert rep.intensity[0] == 2.0
     assert rep.predicted_std[0] == pytest.approx(0.5)
 
@@ -150,7 +152,7 @@ def test_rows_match_per_point_reference(p1, p2, intensities, calibrated):
                   calibrated_intensity=x if calibrated else None)
         for i, x in enumerate(intensities)
     ]
-    assert _rows(evaluate_against_ticks(m1, ticks)) == ref_tick_residual_rows(
+    assert _rows(evaluate_against_ticks(m1, tick_table(ticks))) == ref_tick_residual_rows(
         m1, ticks, evaluate_model)
     assert _rows(compare_models(m1, m2, intensities)) == ref_comparison_rows(
         m1, m2, intensities, evaluate_model)
@@ -158,7 +160,7 @@ def test_rows_match_per_point_reference(p1, p2, intensities, calibrated):
 
 def test_empty_tick_list_rejected():
     with pytest.raises(EmptyStats):
-        evaluate_against_ticks(model(1.0, -1.0, 0.1), [])
+        evaluate_against_ticks(model(1.0, -1.0, 0.1), tick_table([]))
 
 
 # ---- compare_models ----------------------------------------------------------
@@ -282,7 +284,7 @@ def test_angular_sigmas_must_be_finite(vertical, horizontal):
 
 def test_evaluation_csv_layout():
     m = model(0.0, -1.0, 1.0, domain=(1e3, 1e4))
-    rep = evaluate_against_ticks(m, [tick(0, 5e3, 1.0), tick(1, 2e4, 0.9)])
+    rep = evaluate_against_ticks(m, tick_table([tick(0, 5e3, 1.0), tick(1, 2e4, 0.9)]))
     text = evaluation_report_to_csv(rep)
     lines = text.splitlines()
     assert lines[0] == EVALUATION_HEADER

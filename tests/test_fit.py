@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tick_table
 from rangevar.errors import (
     DomainViolation,
     NonPositiveIntensity,
@@ -329,30 +330,31 @@ def test_stddevs_finite_and_positive_with_redundancy():
 def test_general_fit_tags_calibrated_kind():
     from rangevar.preprocess import TickStats
 
-    ticks = [
+    rows = [
         TickStats(i, 0.001 * (i + 1), 100.0, 10.0, s, 50, calibrated_intensity=ci)
         for i, (ci, s) in enumerate(
             (float(I), REF.a * float(I) ** REF.b + REF.c)
             for I in np.geomspace(1e3, 1e5, 8)
         )
     ]
+    ticks = tick_table(rows)
     rep = fit_general_model(ticks)
     assert rep.model.intensity_kind is IntensityKind.CALIBRATED
     assert rep.model.b == pytest.approx(REF.b, rel=1e-8)
     with pytest.raises(TooFewPoints):
-        fit_general_model(ticks[:2])
+        fit_general_model(tick_table(rows[:2]))
     with pytest.raises(TooFewPoints, match="need >= 3 points, got 0"):
-        fit_general_model([])
+        fit_general_model(tick_table([]))
     # an uncalibrated table is fitted on its mean intensities and keeps the options' tag
-    plain = [replace(t, mean_intensity=t.calibrated_intensity, calibrated_intensity=None)
-             for t in ticks]
+    plain = tick_table([t._replace(mean_intensity=t.calibrated_intensity, calibrated_intensity=None)
+                        for t in rows])
     opts = FitOptions(max_iterations=50, intensity_kind=IntensityKind.SCALED)
     rep = fit_general_model(plain, opts)
     assert rep == fit_model([(t.mean_intensity, t.std_range) for t in plain], opts)
     assert rep.model.intensity_kind is IntensityKind.SCALED
-    mixed = ticks[:5] + [replace(ticks[5], calibrated_intensity=None)] + ticks[6:]
-    with pytest.raises(ValueError, match="7 of 8 ticks are calibrated; a tick table needs all or none"):
-        fit_general_model(mixed)
+    # a mixed table cannot be built: a calibrated column must cover every tick
+    with pytest.raises(ValueError, match="tick columns must be 1-D and of one length"):
+        replace(ticks, calibrated_intensity=ticks.calibrated_intensity[:7])
 
 
 def test_calibrated_fit_of_an_uncalibrated_table_is_refused():
@@ -360,8 +362,8 @@ def test_calibrated_fit_of_an_uncalibrated_table_is_refused():
     from rangevar.evaluate import evaluate_against_ticks
     from rangevar.preprocess import TickStats
 
-    plain = [TickStats(i, 0.001 * (i + 1), float(I), 10.0, REF.a * float(I) ** REF.b + REF.c, 50)
-             for i, I in enumerate(np.geomspace(1e3, 1e5, 8))]
+    plain = tick_table([TickStats(i, 0.001 * (i + 1), float(I), 10.0, REF.a * float(I) ** REF.b + REF.c, 50)
+                        for i, I in enumerate(np.geomspace(1e3, 1e5, 8))])
     calibrated = FitOptions(intensity_kind=IntensityKind.CALIBRATED)
     with pytest.raises(MissingColumn, match="calibrated_intensity column"):
         fit_general_model(plain, calibrated)
@@ -370,7 +372,7 @@ def test_calibrated_fit_of_an_uncalibrated_table_is_refused():
     with pytest.raises(MissingColumn):
         evaluate_against_ticks(replace(model, intensity_kind=IntensityKind.CALIBRATED), plain)
     with pytest.raises(TooFewPoints, match="need >= 3 points, got 0"):
-        fit_general_model([], calibrated)
+        fit_general_model(tick_table([]), calibrated)
 
 
 # ---- JSON interface ----------------------------------------------------------

@@ -407,6 +407,8 @@ def _reference_outcome(text, lenient):
     "1,0x1p3,0.0,1.0,1.0",
     "1,0.1,0.0,1.0,1.0,",
     "1,0.1,0.0,,1.0",
+    "1,0.1\x1f,0.0,1.0,1.0",
+    "\x1f1,0.1,0.0,1.0,1.0\x1f",
 ])
 @pytest.mark.parametrize("block_lines", [1, 16384])
 def test_parser_matches_reference_on_edge_syntax(line, block_lines):

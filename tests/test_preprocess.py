@@ -15,11 +15,12 @@ from _reference import (
     ref_nearest_center_assignment,
     ref_outlier_mask,
     ref_preprocess,
+    ref_read_tick_stats_csv,
     ref_std_about_mean,
     ref_std_about_median,
 )
-from conftest import ladder_dataset, make_dataset
-from rangevar.errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
+from conftest import ladder_dataset, make_dataset, tick_table
+from rangevar.errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, RangevarError, TooFewValues
 from rangevar.preprocess import (
     CALIBRATED_HEADER,
     TICK_STATS_HEADER,
@@ -27,6 +28,7 @@ from rangevar.preprocess import (
     TickGrouping,
     TickMode,
     TickStats,
+    TickTable,
     detect_outliers,
     group_by_vertical_tick,
     preprocess,
@@ -335,7 +337,7 @@ def screening_cases(draw):
 
 
 def typed_fields(stats):
-    return [[(type(v), v) for v in dataclasses.astuple(s)] for s in stats]
+    return [[(type(v), v) for v in s] for s in stats]
 
 
 @settings(max_examples=150, deadline=None)
@@ -421,6 +423,7 @@ def test_min_tick_count_filters_and_raises_when_nothing_survives():
     with pytest.raises(NoSurvivingTicks):
         preprocess(ds, PreprocessConfig(min_tick_count=30))
     stats = preprocess(ds, PreprocessConfig(min_tick_count=5))
+    assert "rows" in vars(stats)  # built inside preprocess, before anyone iterates
     assert len(stats) == 2
     assert all(s.count == 5 for s in stats)
 
@@ -434,8 +437,8 @@ def test_preprocess_reports_millimeters():
     stats = preprocess(
         ds, PreprocessConfig(min_tick_count=2, tick_mode=TickMode.EXPLICIT_COLUMN)
     )
-    assert stats[0].std_range == pytest.approx(ref_std_about_mean(spread) * 1000.0, rel=1e-12)
-    assert stats[0].mean_range == pytest.approx(10.0, abs=1e-9)
+    assert stats.std_range[0] == pytest.approx(ref_std_about_mean(spread) * 1000.0, rel=1e-12)
+    assert stats.mean_range[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_preprocess_removes_injected_outlier_and_tightens_std(rng):
@@ -449,10 +452,10 @@ def test_preprocess_removes_injected_outlier_and_tightens_std(rng):
     stats_off = preprocess(
         ds, PreprocessConfig(min_tick_count=10, max_passes=0, tick_mode=mode)
     )
-    assert stats_default[0].count == n - 1
-    assert stats_off[0].count == n
-    assert stats_default[0].std_range < stats_off[0].std_range
-    assert stats_default[0].std_range == pytest.approx(2.0, rel=0.25)
+    assert stats_default.count[0] == n - 1
+    assert stats_off.count[0] == n
+    assert stats_default.std_range[0] < stats_off.std_range[0]
+    assert stats_default.std_range[0] == pytest.approx(2.0, rel=0.25)
 
 
 def test_max_passes_zero_keeps_everything():
@@ -464,7 +467,7 @@ def test_max_passes_zero_keeps_everything():
             min_tick_count=2, max_passes=0, tick_mode=TickMode.EXPLICIT_COLUMN
         ),
     )
-    assert stats[0].count == 31
+    assert stats.count[0] == 31
 
 
 def test_multiple_passes_catch_masked_outlier():
@@ -474,8 +477,8 @@ def test_multiple_passes_catch_masked_outlier():
     mode = TickMode.EXPLICIT_COLUMN
     one = preprocess(ds, PreprocessConfig(min_tick_count=2, max_passes=1, tick_mode=mode))
     two = preprocess(ds, PreprocessConfig(min_tick_count=2, max_passes=2, tick_mode=mode))
-    assert one[0].count == 31
-    assert two[0].count == 30
+    assert one.count[0] == 31
+    assert two.count[0] == 30
 
 
 def test_preprocess_simulator_std_within_sampling_error():
@@ -498,26 +501,25 @@ def test_preprocess_simulator_std_within_sampling_error():
 
 
 def test_tick_stats_csv_round_trip():
-    stats = [
+    stats = tick_table([
         TickStats(0, 0.001, 1500.0, 9.998765432109876, 1.2345678901234567, 300),
         TickStats(1, 0.002, 800.5, 25.0, 3.5, 450),
-    ]
+    ])
     back = read_tick_stats_csv(tick_stats_to_csv(stats))
     assert back == stats
 
 
 def test_tick_table_is_calibrated_throughout_or_not_at_all():
-    plain = TickStats(0, 0.001, 1500.0, 10.0, 1.5, 300)
-    calibrated = TickStats(1, 0.002, 800.5, 25.0, 3.5, 450, calibrated_intensity=12.8)
-    assert tick_stats_to_csv([]) == TICK_STATS_HEADER + "\n"
-    assert tick_stats_to_csv([calibrated]).startswith(CALIBRATED_HEADER + "\n")
-    assert read_tick_stats_csv(tick_stats_to_csv([calibrated])) == [calibrated]
-    with pytest.raises(ValueError, match="1 of 2 ticks are calibrated"):
-        tick_stats_to_csv([plain, calibrated])
-    assert not pp.is_calibrated([]) and not pp.is_calibrated([plain])
-    assert pp.is_calibrated([calibrated])
-    with pytest.raises(ValueError, match="1 of 2 ticks are calibrated; a tick table needs all or none"):
-        pp.is_calibrated([calibrated, plain])
+    plain = tick_table([TickStats(0, 0.001, 1500.0, 10.0, 1.5, 300), TickStats(1, 0.002, 800.5, 25.0, 3.5, 450)])
+    calibrated = tick_table([TickStats(1, 0.002, 800.5, 25.0, 3.5, 450, calibrated_intensity=12.8)])
+    assert tick_stats_to_csv(tick_table([])) == TICK_STATS_HEADER + "\n"
+    assert tick_stats_to_csv(calibrated).startswith(CALIBRATED_HEADER + "\n")
+    assert read_tick_stats_csv(tick_stats_to_csv(calibrated)) == calibrated
+    # a mixed table cannot be built: a calibrated column must cover every tick
+    with pytest.raises(ValueError, match="tick columns must be 1-D and of one length"):
+        dataclasses.replace(plain, calibrated_intensity=[12.8])
+    assert tick_table([]).calibrated_intensity is None and plain.calibrated_intensity is None
+    assert calibrated.calibrated_intensity.tolist() == [12.8]
 
 
 ROW = "0,0.001,1500.0,10.0,1.5,300"
@@ -551,3 +553,145 @@ def test_tick_table_errors_name_their_line(text, line):
         read_tick_stats_csv(text)
     assert err.value.line_number == line
     assert str(err.value).startswith(f"line {line}: ")
+
+
+# ---- the tick table ------------------------------------------------------------
+
+
+def test_tick_table_holds_read_only_typed_columns_and_iterates_rows():
+    table = TickTable([3, 4], [0.001, 0.002], [1500.0, 800.5], [10.0, 25.0], [1.5, 3.5], [300, 450])
+    assert len(table) == 2
+    for name, column in zip(TickStats._fields, table._columns()):
+        assert column.dtype == (np.int64 if name in ("tick_id", "count") else np.float64)
+        assert not column.flags.writeable
+    assert list(table) == [TickStats(3, 0.001, 1500.0, 10.0, 1.5, 300),
+                           TickStats(4, 0.002, 800.5, 25.0, 3.5, 450)]
+    assert [type(v) for v in next(iter(table))] == [int, float, float, float, float, int, type(None)]
+    assert table.rows is table.rows
+    assert table == TickTable(*table._columns()) and table != list(table)
+    calibrated = dataclasses.replace(table, calibrated_intensity=[2.0, 1.0])
+    assert calibrated != table and list(calibrated)[1].calibrated_intensity == 1.0
+    assert dataclasses.replace(table, std_range=[1.5, 3.25]) != table
+    with pytest.raises(ValueError, match="one length"):
+        TickTable([3], [0.001, 0.002], [1500.0, 800.5], [10.0, 25.0], [1.5, 3.5], [300, 450])
+    with pytest.raises(ValueError, match="one length"):
+        TickTable(*([[1.0]] * 6), calibrated_intensity=[[1.0]])
+
+
+def test_explicit_ticks_keep_the_center_np_unique_picks_among_signed_zeros():
+    # a stable sort would pick 0.0, the first angle of the tick; np.unique picks -0.0
+    angles = [0.0, -0.0, 0.0, -0.0, 1.0] * 100
+    ds = make_dataset([(0, a, 0.0, 10.0 + 0.001 * i, 100.0) for i, a in enumerate(angles)])
+    groups = group_by_vertical_tick(ds, EXPLICIT)
+    assert groups.center.tolist() == [0.0, 1.0]
+    assert np.signbit(groups.center).tolist() == [True, False]
+    assert groups.count.tolist() == [400, 100]
+    assert tick_stats_to_csv(preprocess(ds, EXPLICIT)).splitlines()[1].startswith("0,-0.0,")
+
+
+_SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# Field values at every rule's edge: signs, bounds, non-finite values, syntax numpy
+# refuses and int() or float() accepts, and padding the two read differently.
+_ODD_SYNTAX = ["1_0", "\u0663", "+7", " 7 ", "\x1f7", "7\x1f", "\xa07", "0x10", "1e", "", "#", "1.0"]
+_NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+_EDGES = {0: ["-1", str(-(2**63)), "-0", str(2**63)], 5: ["0", "-1", "-0", str(2**63)],
+          3: ["0.0", "-0.0", "-1.0", "1e-400", *_NON_FINITE], 4: ["-1e-9", "-1.0", "-0.0", *_NON_FINITE]}
+_ODD_LINES = ["", "", "", "   ", "\t", "\x1f", "#", "# note, with, commas"]
+
+
+def _odd_field(draw, column, syntax=True):
+    edges = _EDGES.get(column, _NON_FINITE + ["-0.0"])
+    return draw(st.sampled_from(_ODD_SYNTAX if syntax and draw(st.booleans()) else edges))
+
+
+@st.composite
+def _tick_rows(draw, width, odd_share):
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    fields = [
+        repr(draw(st.integers(0, 10**4))), draw(floats), draw(floats),
+        repr(draw(st.floats(1e-3, 1e3))), repr(draw(st.floats(0.0, 1e3))),
+        repr(draw(st.integers(1, 10**4))), draw(floats),
+    ][:width]
+    for i in range(len(fields)):
+        if draw(st.floats(0.0, 1.0)) < odd_share:
+            fields[i] = _odd_field(draw, i)
+    return ",".join(fields)
+
+
+@st.composite
+def _tick_texts(draw):
+    """Tick tables that are mostly well-formed: a valid header and rows, with odd
+    fields, odd lines, line separators and padding at a drawn share, or with
+    exactly one odd field, which only a check on the block path can refuse."""
+    header = draw(st.sampled_from([TICK_STATS_HEADER, CALIBRATED_HEADER] * 5
+                                  + [TICK_STATS_HEADER + ",", "tick_id,count"]))
+    width = 7 if header == CALIBRATED_HEADER else 6
+    one_odd = draw(st.floats(0.0, 1.0)) < 0.6
+    odd_field, odd_line, odd_width, pad_share = (
+        0.0 if one_odd else draw(st.sampled_from(shares)) for shares in (
+            [0.0, 0.0, 0.03, 0.2], [0.0, 0.0, 0.1, 0.4, 1.0], [0.0, 0.0, 0.0, 0.1], [0.0, 0.0, 0.1, 0.5]))
+
+    def pad():
+        odd = draw(st.floats(0.0, 1.0)) < pad_share
+        return draw(st.sampled_from([" ", "\t", "\x1f", "\xa0"])) if odd else ""
+
+    lines = draw(st.lists(st.sampled_from(["", "  "]), max_size=2))
+    lines.append(pad() + header + pad())
+    first_row = len(lines)
+    for _ in range(draw(st.sampled_from([1, 2, 12]))):
+        if draw(st.floats(0.0, 1.0)) < odd_line:
+            lines.append(draw(st.sampled_from(_ODD_LINES)))
+            continue
+        n = width + (draw(st.sampled_from([-1, 1])) if draw(st.floats(0.0, 1.0)) < odd_width else 0)
+        row = draw(_tick_rows(n, odd_field)) + ",1.0" * (n > 7)
+        lines.append(pad() + row + pad())
+    if one_odd and len(lines) > first_row:
+        i = draw(st.integers(first_row, len(lines) - 1))
+        fields = lines[i].split(",")
+        column = draw(st.integers(0, len(fields) - 1))
+        padded = fields[column] + "\x1f"  # numpy reads it; int() and float() refuse it mid-line
+        fields[column] = draw(st.sampled_from([padded, _odd_field(draw, column, syntax=False)]))
+        lines[i] = ",".join(fields)
+    separators = [draw(st.sampled_from(_SEPARATORS[:2] * 5 + _SEPARATORS)) for _ in lines]
+    text = "".join(line + sep for line, sep in zip(lines, separators))
+    return text if draw(st.booleans()) else text[:-len(separators[-1])]
+
+
+def _tick_outcome(read, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = list(read(text))
+        except RangevarError as exc:
+            return type(exc), getattr(exc, "line_number", None), str(exc)
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def _one_odd_field(column, value, width=7):
+    row = "3,0.001,1500.0,10.0,1.5,300,12.5".split(",")[:width]
+    odd = row[:column] + [value] + row[column + 1:]
+    return "\n".join([CALIBRATED_HEADER if width == 7 else TICK_STATS_HEADER, ",".join(row), ",".join(odd)])
+
+
+# One example per check of the block path: each passes numpy's text reader and
+# only that check refuses it.
+_CHECKED = [_one_odd_field(0, "-1"), _one_odd_field(5, "0"), _one_odd_field(3, "0.0"),
+            _one_odd_field(4, "-1e-9"), _one_odd_field(2, "1500.0\x1f"), TICK_STATS_HEADER,
+            TICK_STATS_HEADER + "\n\n\n"] + [_one_odd_field(c, "inf") for c in (1, 2, 3, 4, 6)]
+
+
+@pytest.mark.parametrize("text", _CHECKED)
+def test_tick_table_reader_matches_the_reference_where_one_check_refuses(text):
+    assert _tick_outcome(read_tick_stats_csv, text) == _tick_outcome(ref_read_tick_stats_csv, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tick_texts())
+def test_tick_table_reader_matches_the_row_by_row_reference(text):
+    assert _tick_outcome(read_tick_stats_csv, text) == _tick_outcome(ref_read_tick_stats_csv, text)
+
+
+def test_tick_table_reader_takes_the_block_path_on_a_clean_table():
+    table = tick_table([TickStats(i, 0.001 * i, 800.0 + i, 10.0 + i, 1.5, 100 + i, 2.0 + i) for i in range(50)])
+    with mock.patch.object(pp, "_parse_tick_rows", side_effect=AssertionError("row path")):
+        assert read_tick_stats_csv(tick_stats_to_csv(table)) == table
