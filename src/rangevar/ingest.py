@@ -34,7 +34,7 @@ converts the body in blocks of lines with numpy's text reader and checks
 each block with array masks; a block that fails any check is parsed
 again row by row, which raises the error naming the first bad line (or,
 in lenient mode, drops the bad rows). preprocess reads the tick table
-through the same block reader (split_lines, parse_block).
+through the same block reader (parse_block).
 """
 
 from __future__ import annotations
@@ -220,13 +220,6 @@ def _parse_rows(block: list[str], first_line: int, positions: list[int], lenient
     return [np.array(c, dtype=_DTYPES[name]) for name, c in zip(_COLUMNS, columns)], skipped
 
 
-def split_lines(text: str) -> tuple[list[str], bool]:
-    """The lines of text, as str.splitlines counts them, and whether parse_block may
-    convert them: numpy's text reader takes a \\x1f next to a field for a space, which
-    int() and float() refuse."""
-    return text.splitlines(), "\x1f" not in text
-
-
 def parse_block(block: list[str], row_dtype: np.dtype, names, valid):
     """The named columns of a block in which every line is a row, else None.
 
@@ -235,11 +228,11 @@ def parse_block(block: list[str], row_dtype: np.dtype, names, valid):
     float() do (the same correctly rounded conversion), and it refuses the
     rest of their syntax (underscores, non-ASCII digits). It skips empty
     lines, so an empty block or one holding an empty line is left to the
-    per-row parse, and so is a block whose columns valid(*columns) refuses:
-    the table's checks, as masks. Only lines of a text that split_lines
-    allows may be passed.
+    per-row parse. So is a block holding a \\x1f, which the reader takes for
+    a space next to a field and int() and float() refuse, and a block whose
+    columns valid(*columns) refuses: the table's checks, as masks.
     """
-    if not block or "" in block:
+    if not block or "" in block or "\x1f" in "".join(block):
         return None
     try:
         rows = np.loadtxt(block, dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
@@ -267,7 +260,7 @@ def parse_profile_csv(source, lenient: bool = False) -> ScanDataset:
     survive. Observation order equals file row order. A one-line str
     source is a path, so a missing file raises FileNotFoundError.
     """
-    lines, columnar = split_lines(_read_text(source))
+    lines = _read_text(source).splitlines()
 
     meta_kw: dict = {}
     line_number = 0
@@ -316,7 +309,7 @@ def parse_profile_csv(source, lenient: bool = False) -> ScanDataset:
     skipped = 0
     for start in range(line_number, len(lines), _BLOCK_LINES):
         block = lines[start:start + _BLOCK_LINES]
-        columns = parse_block(block, row_dtype, _COLUMNS, _valid_scan_rows) if columnar else None
+        columns = parse_block(block, row_dtype, _COLUMNS, _valid_scan_rows)
         if columns is None:
             columns, bad = _parse_rows(block, start + 1, positions, lenient)
             skipped += bad

@@ -25,10 +25,7 @@ against the per-tick reference (test_preprocess_equals_the_per_tick_reference).
 
 The TickTable is what calibrate, fit and evaluate take and what the tick
 table codec at the end of this module writes and reads; no stage reads
-its TickStats rows. preprocess builds the rows of the table it returns
-before returning it: perfbench's preprocess counter sums their counts
-right after the call, and rows built there would fall outside every span
-of its trace.
+its TickStats rows.
 """
 
 from __future__ import annotations
@@ -37,13 +34,12 @@ import enum
 import math
 from itertools import repeat
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
-from .ingest import ScanDataset, csv_text, parse_block, parse_float, parse_index, split_lines
+from .ingest import ScanDataset, csv_text, parse_block, parse_float, parse_index
 
 # Members gathered into one (ticks, members) block at most: one block per member count
 # raised the full-size scan_files peak RSS from 196.5 to 223.0 MB (BENCH_5.json, block_cap).
@@ -186,14 +182,10 @@ class TickTable:
         return len(self.tick_id)
 
     def __iter__(self):
-        return iter(self.rows)
-
-    @cached_property
-    def rows(self) -> tuple[TickStats, ...]:
-        """The ticks as TickStats rows of Python values, built once, on first use."""
+        """The ticks as TickStats rows of Python values, built as they are read."""
         columns = (getattr(self, name) for name in TickStats._fields)
         rows = zip(*(repeat(None) if c is None else c.tolist() for c in columns))
-        return tuple(map(tuple.__new__, repeat(TickStats), rows))  # TickStats._make, without its call
+        return map(tuple.__new__, repeat(TickStats), rows)  # TickStats._make, without its call
 
     def __eq__(self, other):
         if not isinstance(other, TickTable):
@@ -348,9 +340,7 @@ def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> T
         mean_intensity[positions] = intensities.mean(axis=1)
         mean_range[positions] = mean = ranges.mean(axis=1)
         std_mm[positions] = _spread(ranges, mean) * 1000.0
-    table = TickTable(ticks.tick_id, ticks.center, mean_intensity, mean_range, std_mm, ticks.count)
-    table.rows  # built here, not after the call (see the module docstring)
-    return table
+    return TickTable(ticks.tick_id, ticks.center, mean_intensity, mean_range, std_mm, ticks.count)
 
 
 # ---- CSV interface -----------------------------------------------------------
@@ -410,7 +400,7 @@ def read_tick_stats_csv(text: str) -> TickTable:
     block of the scan parser's (ingest.parse_block); a body that fails a
     check there is parsed again row by row, which raises the error.
     """
-    lines, columnar = split_lines(text)
+    lines = text.splitlines()
     start = next((n for n, ln in enumerate(lines) if ln.strip()), None)
     header = "" if start is None else lines[start].strip()
     if header not in (TICK_STATS_HEADER, CALIBRATED_HEADER):
@@ -419,7 +409,7 @@ def read_tick_stats_csv(text: str) -> TickTable:
     width = header.count(",") + 1
     row_dtype = np.dtype([(name, _TICK_DTYPES[name]) for name in TickStats._fields[:width]])
     body = lines[start + 1:]
-    columns = parse_block(body, row_dtype, row_dtype.names, _valid_ticks) if columnar else None
+    columns = parse_block(body, row_dtype, row_dtype.names, _valid_ticks)
     if columns is None:
         return TickTable(*_parse_tick_rows(body, start + 2, width))
     return TickTable(*(column.copy() for column in columns))  # contiguous; frees the records

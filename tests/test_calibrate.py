@@ -20,7 +20,7 @@ from rangevar.errors import NonPositiveRange, RangevarError
 from rangevar.evaluate import evaluate_against_ticks
 from rangevar.fit import RangeVarianceModel
 from rangevar.ingest import IntensityKind
-from rangevar.preprocess import TickStats
+from rangevar.preprocess import CALIBRATED_HEADER, TICK_STATS_HEADER, TickStats
 
 
 def tick(tick_id, intensity, mean_range, std=1.0, count=100):
@@ -52,7 +52,14 @@ def test_equal_intensity_distance_ratio():
 
 
 def test_empty_list_gives_empty_list():
-    assert list(calibrate_ticks(tick_table([]), CalibrationConfig(10.0))) == []
+    calibrated = calibrate_ticks(tick_table([]), CalibrationConfig(10.0))
+    assert list(calibrated) == []
+    # zero ticks calibrated are a calibrated table: its header has the column and reads back
+    assert calibrated.calibrated_intensity is not None
+    text = calibrated_ticks_to_csv(calibrated)
+    assert text == CALIBRATED_HEADER + "\n"
+    assert read_calibrated_ticks_csv(text) == calibrated
+    assert calibrated_ticks_to_csv(tick_table([])) == TICK_STATS_HEADER + "\n"
 
 
 def test_error_carries_tick_context():

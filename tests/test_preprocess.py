@@ -423,7 +423,6 @@ def test_min_tick_count_filters_and_raises_when_nothing_survives():
     with pytest.raises(NoSurvivingTicks):
         preprocess(ds, PreprocessConfig(min_tick_count=30))
     stats = preprocess(ds, PreprocessConfig(min_tick_count=5))
-    assert "rows" in vars(stats)  # built inside preprocess, before anyone iterates
     assert len(stats) == 2
     assert all(s.count == 5 for s in stats)
 
@@ -567,7 +566,7 @@ def test_tick_table_holds_read_only_typed_columns_and_iterates_rows():
     assert list(table) == [TickStats(3, 0.001, 1500.0, 10.0, 1.5, 300),
                            TickStats(4, 0.002, 800.5, 25.0, 3.5, 450)]
     assert [type(v) for v in next(iter(table))] == [int, float, float, float, float, int, type(None)]
-    assert table.rows is table.rows
+    assert list(table) == list(table)  # each iteration builds its rows afresh
     assert table == TickTable(*table._columns()) and table != list(table)
     calibrated = dataclasses.replace(table, calibrated_intensity=[2.0, 1.0])
     assert calibrated != table and list(calibrated)[1].calibrated_intensity == 1.0
