@@ -2,8 +2,8 @@
 
 File format
 -----------
-UTF-8 text (one leading byte-order mark is ignored), LF or CRLF line
-endings. Optional leading directive lines of the form ``#key=value``
+UTF-8 text (one leading byte-order mark is ignored), split into lines as
+str.splitlines splits it. Optional leading directive lines ``#key=value``
 carry dataset metadata:
 
     #scanner=<free text>
@@ -14,7 +14,7 @@ carry dataset metadata:
 
 They are followed by the mandatory header
 ``profile,vertical_angle,horizontal_angle,range,intensity`` (any column
-order, exactly these five names) and one observation per line. Blank
+order, each of these five names once) and one observation per line. Blank
 lines and ``#`` lines in the body are skipped. Angles are radians;
 ranges are meters; intensity is dimensionless (raw counts or scaled
 percent, per metadata). Unknown directives are ignored so newer writers
@@ -29,12 +29,12 @@ str.splitlines counts them).
 Serialization writes the same format with shortest round-trip float
 representations, so parse -> serialize -> parse is numerically exact.
 
-A ScanDataset holds its observations as five numpy columns. The parser
-converts the body in blocks of lines with numpy's text reader and checks
-each block with array masks; a block that fails any check is parsed
-again row by row, which raises the error naming the first bad line (or,
-in lenient mode, drops the bad rows). preprocess reads the tick table
-through the same block reader (parse_block).
+Each CSV table has one schema, SCAN here and TICKS for preprocess's tick
+table: every column's name, dtype and check, each check written once.
+read_table converts a body in blocks with numpy's text reader and runs
+the checks as masks; a block that fails is parsed again row by row with
+the same checks, which raises the first failure on the first bad line (or,
+in lenient mode, drops the bad rows).
 """
 
 from __future__ import annotations
@@ -56,14 +56,96 @@ from .errors import (
     decode_utf8,
 )
 
-_COLUMNS = ("profile", "vertical_angle", "horizontal_angle", "range", "intensity")
-_DTYPES = {name: np.int64 if name == "profile" else np.float64 for name in _COLUMNS}
-
 # Body lines converted at a time, read or written. Bounds the transient memory
 # and the share of the file a single bad row sends through the per-row parse.
 _BLOCK_LINES = 16384
 # Leading values of a written block whose repeats decide how it is formatted.
 _PROBE = 1024
+
+
+@dataclass(frozen=True)
+class Column:
+    """One column of a CSV table: its name as headers and errors print it, its
+    dtype and its check. A field takes int() or float() syntax and must fit
+    the dtype: an int64 below 2**63 (a Python int is unbounded), a float64
+    finite (while finite is set). It may also need value op low, else it
+    raises error; a late bound waits until every field of the row has
+    converted. is_finite and is_bounded take one value (the row parse) or a
+    column of them (the block masks)."""
+
+    name: str
+    dtype: type = np.float64
+    finite: bool = True
+    low: int | None = None
+    op: str = ">="
+    error: type[MalformedRow] = MalformedRow
+    late: bool = False
+
+    def is_finite(self, values):
+        return abs(values) < math.inf if self.finite else True
+
+    def is_bounded(self, values):
+        return self.low is None or (values > self.low if self.op == ">" else values >= self.low)
+
+    def passes(self, values):
+        return np.logical_and(self.is_finite(values), self.is_bounded(values))
+
+    def convert(self, text: str, line_number: int):
+        """One field as the column holds it, else the error naming its line."""
+        try:
+            value = (float if self.dtype is np.float64 else int)(text)
+        except ValueError:
+            raise MalformedRow(line_number, f"cannot parse '{text}' in column '{self.name}'") from None
+        if value >= 2**63 and self.dtype is np.int64:
+            raise MalformedRow(line_number, f"{self.name} must be < 2**63, got {value}")
+        if not self.is_finite(value):
+            raise NonFiniteValue(line_number, self.name)
+        return value if self.late or self.low is None else self.bound(value, line_number)
+
+    def bound(self, value, line_number: int):
+        """value when it meets the bound, else the error naming its line."""
+        if self.is_bounded(value):
+            return value
+        if self.error is not MalformedRow:
+            raise self.error(line_number, value)
+        raise MalformedRow(line_number, f"{self.name} must be {self.op} {self.low}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Schema:
+    """A CSV table format: its columns in the order a row's fields are checked
+    and read_table returns them, and whether '#' body lines are comments."""
+
+    columns: tuple[Column, ...]
+    comments: bool
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(column.name for column in self.columns)
+
+    def __getitem__(self, name: str) -> Column:
+        return self.columns[self.names.index(name)]
+
+
+# The profile scan: columns in any order, each field checked before the next.
+SCAN = Schema((
+    Column("profile", np.int64, finite=False, low=0),
+    Column("vertical_angle"),
+    Column("horizontal_angle"),
+    Column("range", low=0, op=">", error=InvalidRange),
+    Column("intensity", low=0),
+), comments=True)
+
+# The tick table (preprocess.TickTable); only a calibrated table has the last column.
+TICKS = Schema((
+    Column("tick_id", np.int64, finite=False, low=0),
+    Column("vertical_angle_center"),
+    Column("mean_intensity"),
+    Column("mean_range_m", low=0, op=">", late=True),
+    Column("std_range_mm", low=0, late=True),
+    Column("count", np.int64, finite=False, low=1),
+    Column("calibrated_intensity"),
+), comments=False)
 
 
 class IntensityKind(enum.Enum):
@@ -96,11 +178,9 @@ class ScanDataset:
     """An ordered, immutable scan: five equal-length columns plus metadata.
 
     Row i of every column is observation i, in file order. Each column is
-    a read-only copy of what the constructor is given: profile (int64),
-    vertical_angle and horizontal_angle (float64, rad), range (float64,
-    m) and intensity (float64). Equality is identity; compare columns
-    with numpy. skipped_rows counts rows dropped under lenient parsing
-    (0 otherwise).
+    a read-only copy of what the constructor is given, of its SCAN dtype;
+    angles are in rad and range in m. Equality is identity; compare columns
+    with numpy. skipped_rows counts rows dropped under lenient parsing.
     """
 
     profile: np.ndarray
@@ -112,7 +192,7 @@ class ScanDataset:
     skipped_rows: int = 0
 
     def __post_init__(self):
-        columns = {name: np.array(getattr(self, name), dtype=_DTYPES[name]) for name in _COLUMNS}
+        columns = {c.name: np.array(getattr(self, c.name), dtype=c.dtype) for c in SCAN.columns}
         shapes = [column.shape for column in columns.values()]
         if len(shapes[0]) != 1 or len(set(shapes)) != 1:
             raise ValueError(f"columns must be 1-D and of one length, got shapes {shapes}")
@@ -139,116 +219,103 @@ class ValidationReport:
         return len(self.violations)
 
 
-def _read_text(source) -> str:
-    """The text of a path, bytes or str source.
+def _read_lines(source) -> list[str]:
+    """The lines of a path, bytes or str source, as str.splitlines splits them.
 
     A str holding a line break is CSV content; any other str is a path,
     since a dataset needs a header line plus at least one row.
     """
-    if isinstance(source, bytes):
-        return decode_utf8(source)
-    if isinstance(source, str) and ("\n" in source or "\r" in source):
-        return source
-    return decode_utf8(Path(source).read_bytes())
+    if isinstance(source, str):
+        lines = source.splitlines()
+        if lines and lines != [source]:  # a line break was split off
+            return lines
+    # The bytes of a path are a temporary, freed before the text is split.
+    text = decode_utf8(source if isinstance(source, bytes) else Path(source).read_bytes())
+    return text.splitlines()
 
 
 def parse_float(text: str, line_number: int, column: str) -> float:
     """A finite float() of one field of any text input, else MalformedRow naming the line."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise MalformedRow(line_number, f"cannot parse '{text}' in column '{column}'") from None
-    if not math.isfinite(value):
-        raise NonFiniteValue(line_number, column)
-    return value
+    return Column(column).convert(text, line_number)
 
 
 def parse_int(text: str, line_number: int, column: str) -> int:
     """An int() of one field of any text input, else MalformedRow naming the line."""
-    try:
-        return int(text)
-    except ValueError:
-        raise MalformedRow(line_number, f"cannot parse '{text}' in column '{column}'") from None
+    return Column(column, int, finite=False).convert(text, line_number)
 
 
 def parse_index(text: str, line_number: int, column: str, low: int = 0) -> int:
     """An int() field that fits an int64 column, low <= value < 2**63, else MalformedRow."""
-    value = parse_int(text, line_number, column)
-    if value < low:
-        raise MalformedRow(line_number, f"{column} must be >= {low}, got {value}")
-    if value >= 2**63:
-        raise MalformedRow(line_number, f"{column} must be < 2**63, got {value}")
-    return value
+    return Column(column, np.int64, finite=False, low=low).convert(text, line_number)
 
 
-def _parse_row(line: str, line_number: int, positions: list[int]) -> tuple:
-    """One stripped data line as (profile, vertical, horizontal, range, intensity)."""
-    fields = line.split(",")
-    if len(fields) != len(_COLUMNS):
-        raise MalformedRow(line_number, f"expected {len(_COLUMNS)} fields, got {len(fields)}")
-    p_prof, p_vert, p_horiz, p_range, p_inten = positions
-    profile = parse_index(fields[p_prof], line_number, "profile")
-    vert = parse_float(fields[p_vert], line_number, "vertical_angle")
-    horiz = parse_float(fields[p_horiz], line_number, "horizontal_angle")
-    rng = parse_float(fields[p_range], line_number, "range")
-    if rng <= 0.0:
-        raise InvalidRange(line_number, rng)
-    inten = parse_float(fields[p_inten], line_number, "intensity")
-    if inten < 0.0:
-        raise MalformedRow(line_number, f"intensity must be >= 0, got {inten!r}")
-    return profile, vert, horiz, rng, inten
-
-
-def _parse_rows(block: list[str], first_line: int, positions: list[int], lenient: bool):
-    """Row-by-row parse of one block: the first error, or lenient skips.
-
-    Returns the five columns and the number of rows skipped.
-    """
+def _parse_rows(block: list[str], first_line: int, schema: Schema, positions: list[int], lenient: bool):
+    """Row-by-row parse of one block: its columns and the number of rows skipped.
+    positions[i] is the field of schema column i. The first failure raises,
+    or under lenient drops its row."""
+    columns = schema.columns[:len(positions)]
+    late = [(i, column) for i, column in enumerate(columns) if column.late]
     rows = []
     skipped = 0
     for line_number, raw in enumerate(block, first_line):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or schema.comments and line.startswith("#"):
             continue
+        fields = line.split(",")
         try:
-            rows.append(_parse_row(line, line_number, positions))
+            if len(fields) != len(positions):
+                raise MalformedRow(line_number, f"expected {len(positions)} fields, got {len(fields)}")
+            row = [column.convert(fields[p], line_number) for column, p in zip(columns, positions)]
+            for i, column in late:
+                column.bound(row[i], line_number)
+            rows.append(row)
         except MalformedRow:
             if not lenient:
                 raise
             skipped += 1
-    columns = list(zip(*rows)) or [()] * len(_COLUMNS)
-    return [np.array(c, dtype=_DTYPES[name]) for name, c in zip(_COLUMNS, columns)], skipped
+    return [np.array([row[i] for row in rows], dtype=c.dtype) for i, c in enumerate(columns)], skipped
 
 
-def parse_block(block: list[str], row_dtype: np.dtype, names, valid):
-    """The named columns of a block in which every line is a row, else None.
+def parse_block(block: list[str], row_dtype: np.dtype, columns):
+    """The given columns of a block in which every line is a row, else None.
 
     numpy's text reader converts the fields in C, row_dtype giving each
-    field's type in line order. What it accepts, it reads as int() and
-    float() do (the same correctly rounded conversion), and it refuses the
-    rest of their syntax (underscores, non-ASCII digits). It skips empty
-    lines, so an empty block or one holding an empty line is left to the
-    per-row parse. So is a block holding a \\x1f, which the reader takes for
-    a space next to a field and int() and float() refuse, and a block whose
-    columns valid(*columns) refuses: the table's checks, as masks.
+    field's name and type in line order. What it accepts, it reads as int()
+    and float() do (the same correctly rounded conversion), and it refuses
+    the rest of their syntax (underscores, non-ASCII digits). It skips empty
+    lines, so a block holding one is left to the per-row parse. So is a
+    block holding a \\x1f, which the reader takes for a space next to a
+    field and int() and float() refuse, and a block whose values fail a
+    column's checks, evaluated as masks.
     """
-    if not block or "" in block or "\x1f" in "".join(block):
+    if "" in block or "\x1f" in "".join(block):
         return None
     try:
         rows = np.loadtxt(block, dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return None
-    columns = [rows[name] for name in names]
-    return columns if valid(*columns) else None
+    values = [rows[column.name] for column in columns]
+    return values if all(np.all(column.passes(v)) for column, v in zip(columns, values)) else None
 
 
-def _valid_scan_rows(profile, vertical, horizontal, rng, inten) -> bool:
-    return bool(
-        (profile >= 0).all()
-        and all(np.isfinite(column).all() for column in (vertical, horizontal, rng, inten))
-        and (rng > 0).all()
-        and (inten >= 0).all()
-    )
+def read_table(lines: list[str], start: int, schema: Schema, header: list[str], lenient: bool = False):
+    """The columns header names, in schema order, of the body lines[start:],
+    and the rows skipped. parse_block converts _BLOCK_LINES lines at a time;
+    a block it refuses is parsed again row by row (_parse_rows).
+    """
+    columns = schema.columns[:len(header)]
+    positions = [header.index(column.name) for column in columns]
+    row_dtype = np.dtype([(name, schema[name].dtype) for name in header])
+    blocks = [[np.empty(0, column.dtype) for column in columns]]
+    skipped = 0
+    for first in range(start, len(lines), _BLOCK_LINES):
+        block = lines[first:first + _BLOCK_LINES]
+        values = parse_block(block, row_dtype, columns)
+        if values is None:
+            values, bad = _parse_rows(block, first + 1, schema, positions, lenient)
+            skipped += bad
+        blocks.append(values)
+    return [np.concatenate(parts) for parts in zip(*blocks)], skipped
 
 
 def parse_profile_csv(source, lenient: bool = False) -> ScanDataset:
@@ -257,16 +324,14 @@ def parse_profile_csv(source, lenient: bool = False) -> ScanDataset:
     Raises MalformedRow / MissingColumn / NonFiniteValue / InvalidRange on
     the first bad row; lenient skips rows that fail a check and counts
     them in skipped_rows instead. Raises EmptyDataset when no data rows
-    survive. Observation order equals file row order. A one-line str
-    source is a path, so a missing file raises FileNotFoundError.
+    survive. Observation order equals file row order. A str without a
+    line break is a path, so a missing file raises FileNotFoundError.
     """
-    lines = _read_text(source).splitlines()
+    lines = _read_lines(source)
 
     meta_kw: dict = {}
-    line_number = 0
     header: list[str] | None = None
-    for raw in lines:
-        line_number += 1
+    for line_number, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
@@ -296,28 +361,16 @@ def parse_profile_csv(source, lenient: bool = False) -> ScanDataset:
 
     if header is None:
         raise EmptyDataset("no header line found")
-    for column in _COLUMNS:
+    for column in SCAN.names:
         if column not in header:
             raise MissingColumn(f"header is missing column '{column}'")
-    if len(header) != len(_COLUMNS):
-        extra = [c for c in header if c not in _COLUMNS]
+    extra = [c for i, c in enumerate(header) if c not in SCAN.names or c in header[:i]]
+    if extra:  # an unknown or a repeated name
         raise MalformedRow(line_number, f"unexpected columns {extra}")
-    positions = [header.index(column) for column in _COLUMNS]
-    row_dtype = np.dtype([(name, _DTYPES[name]) for name in header])
 
-    blocks = []
-    skipped = 0
-    for start in range(line_number, len(lines), _BLOCK_LINES):
-        block = lines[start:start + _BLOCK_LINES]
-        columns = parse_block(block, row_dtype, _COLUMNS, _valid_scan_rows)
-        if columns is None:
-            columns, bad = _parse_rows(block, start + 1, positions, lenient)
-            skipped += bad
-        blocks.append(columns)
-
-    if not any(len(columns[0]) for columns in blocks):
+    columns, skipped = read_table(lines, line_number, SCAN, header, lenient)
+    if not len(columns[0]):
         raise EmptyDataset("no data rows")
-    columns = (np.concatenate(c) for c in zip(*blocks))
     return ScanDataset(*columns, ScanMeta(**meta_kw), skipped_rows=skipped)
 
 
@@ -380,8 +433,8 @@ def serialize_dataset(ds: ScanDataset) -> str:
         out.append(f"#nominal_distance_m={meta.nominal_distance!r}")
     if meta.point_spacing_note:
         out.append(f"#note={meta.point_spacing_note}")
-    out.append(",".join(_COLUMNS))
-    return csv_text(out, [getattr(ds, name) for name in _COLUMNS])
+    out.append(",".join(SCAN.names))
+    return csv_text(out, [getattr(ds, name) for name in SCAN.names])
 
 
 def _finite_span(values: np.ndarray) -> tuple[float, float]:
@@ -403,22 +456,17 @@ def validate_dataset(ds: ScanDataset) -> ValidationReport:
     naming the observation index and the broken invariant, ordered by
     observation, then range, intensity, vertical, horizontal.
     """
-    bad_range = ~(np.isfinite(ds.range) & (ds.range > 0.0))
-    bad_intensity = ~(np.isfinite(ds.intensity) & (ds.intensity >= 0.0))
-    bad_vertical = ~np.isfinite(ds.vertical_angle)
-    bad_horizontal = ~np.isfinite(ds.horizontal_angle)
+    checked = [SCAN[name] for name in ("range", "intensity", "vertical_angle", "horizontal_angle")]
+    bad = [~column.passes(getattr(ds, column.name)) for column in checked]
     violations: list[str] = []
-    for i in np.flatnonzero(bad_range | bad_intensity | bad_vertical | bad_horizontal).tolist():
-        if bad_range[i]:
-            violations.append(f"observation {i}: range {float(ds.range[i])!r} not finite and > 0")
-        if bad_intensity[i]:
-            violations.append(
-                f"observation {i}: intensity {float(ds.intensity[i])!r} not finite and >= 0"
-            )
-        if bad_vertical[i]:
-            violations.append(f"observation {i}: vertical_angle not finite")
-        if bad_horizontal[i]:
-            violations.append(f"observation {i}: horizontal_angle not finite")
+    for i in np.flatnonzero(np.logical_or.reduce(bad)).tolist():
+        for column, flags in zip(checked, bad):
+            if flags[i]:
+                broken = "not finite"
+                if column.low is not None:
+                    value = float(getattr(ds, column.name)[i])
+                    broken = f"{value!r} not finite and {column.op} {column.low}"
+                violations.append(f"observation {i}: {column.name} {broken}")
     return ValidationReport(
         observation_count=len(ds),
         profile_count=int(np.unique(ds.profile).size),

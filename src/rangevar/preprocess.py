@@ -24,8 +24,8 @@ this rests on numpy's internals, and tests/test_preprocess.py checks it
 against the per-tick reference (test_preprocess_equals_the_per_tick_reference).
 
 The TickTable is what calibrate, fit and evaluate take and what the tick
-table codec at the end of this module writes and reads; no stage reads
-its TickStats rows.
+table codec at the end of this module writes and reads, in the layout and
+with the checks of ingest.TICKS; no stage reads its TickStats rows.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, TooFewValues
-from .ingest import ScanDataset, csv_text, parse_block, parse_float, parse_index
+from .ingest import TICKS, ScanDataset, csv_text, read_table
 
 # Members gathered into one (ticks, members) block at most: one block per member count
 # raised the full-size scan_files peak RSS from 196.5 to 223.0 MB (BENCH_5.json, block_cap).
@@ -140,18 +140,14 @@ class TickStats(NamedTuple):
     calibrated_intensity: float | None = None
 
 
-_TICK_DTYPES = {name: np.int64 if name in ("tick_id", "count") else np.float64
-                for name in TickStats._fields}
-
-
 @dataclass(frozen=True, eq=False)
 class TickTable:
     """Reduced statistics of the surviving ticks, as read-only columns.
 
-    Row i of every column is one tick: tick_id and count (int64),
-    vertical_angle_center (rad), mean_intensity (as recorded), mean_range
-    (m) and std_range (mm, the only mm conversion in the pipeline), all
-    float64. calibrated_intensity is None until calibrate.calibrate_ticks
+    Row i of every column is one tick, of its ingest.TICKS dtype:
+    vertical_angle_center in rad, mean_intensity as recorded, mean_range in
+    m and std_range in mm (the only mm conversion in the pipeline).
+    calibrated_intensity is None until calibrate.calibrate_ticks
     adds the column, so a table is calibrated throughout or not at all.
     len() is the tick count; iterating yields TickStats rows; tables are
     equal when their columns are equal by value.
@@ -166,10 +162,9 @@ class TickTable:
     calibrated_intensity: np.ndarray | None = None
 
     def __post_init__(self):
-        for field in fields(self):
+        for field, column in zip(fields(self), TICKS.columns):
             if getattr(self, field.name) is not None:
-                column = _read_only(getattr(self, field.name), _TICK_DTYPES[field.name])
-                object.__setattr__(self, field.name, column)
+                object.__setattr__(self, field.name, _read_only(getattr(self, field.name), column.dtype))
         shapes = [column.shape for column in self._columns()]
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ValueError(f"tick columns must be 1-D and of one length, got shapes {shapes}")
@@ -345,8 +340,8 @@ def preprocess(ds: ScanDataset, cfg: PreprocessConfig = PreprocessConfig()) -> T
 
 # ---- CSV interface -----------------------------------------------------------
 
-TICK_STATS_HEADER = "tick_id,vertical_angle_center,mean_intensity,mean_range_m,std_range_mm,count"
-CALIBRATED_HEADER = TICK_STATS_HEADER + ",calibrated_intensity"
+CALIBRATED_HEADER = ",".join(TICKS.names)
+TICK_STATS_HEADER = ",".join(TICKS.names[:-1])
 
 
 def tick_stats_to_csv(ticks: TickTable) -> str:
@@ -356,60 +351,17 @@ def tick_stats_to_csv(ticks: TickTable) -> str:
     return csv_text([CALIBRATED_HEADER if calibrated else TICK_STATS_HEADER], ticks._columns())
 
 
-def _valid_ticks(tick_id, center, intensity, mean_range, std, count, *calibrated) -> bool:
-    return bool(
-        (tick_id >= 0).all()
-        and (count >= 1).all()
-        and all(np.isfinite(c).all() for c in (center, intensity, mean_range, std, *calibrated))
-        and (mean_range > 0).all()
-        and (std >= 0).all()
-    )
-
-
-def _parse_tick_rows(lines: list[str], first_line: int, width: int) -> list[tuple]:
-    """Row-by-row parse of the body: its columns, or the error naming its first bad line."""
-    rows = []
-    for n, ln in enumerate(lines, first_line):
-        ln = ln.strip()
-        if not ln:
-            continue
-        f = ln.split(",")
-        if len(f) != width:
-            raise MalformedRow(n, f"expected {width} fields, got {len(f)}")
-        row = [parse_index(f[0], n, "tick_id"), parse_float(f[1], n, "vertical_angle_center"),
-               parse_float(f[2], n, "mean_intensity"), parse_float(f[3], n, "mean_range_m"),
-               parse_float(f[4], n, "std_range_mm"), parse_index(f[5], n, "count", 1)]
-        if width == 7:
-            row.append(parse_float(f[6], n, "calibrated_intensity"))
-        if row[3] <= 0:
-            raise MalformedRow(n, f"mean_range_m must be > 0, got {row[3]!r}")
-        if row[4] < 0:
-            raise MalformedRow(n, f"std_range_mm must be >= 0, got {row[4]!r}")
-        rows.append(row)
-    return list(zip(*rows)) or [()] * width
-
-
 def read_tick_stats_csv(text: str) -> TickTable:
     """Parse the tick_stats_to_csv format back into a TickTable.
 
     The header chooses the layout, with or without calibrated_intensity.
-    Blank lines are skipped. Fields convert as scan fields do: a bad header,
-    field count or number, a non-finite float, a tick_id outside [0, 2**63),
-    a count outside [1, 2**63), mean_range_m <= 0 or std_range_mm < 0 raises
-    MalformedRow naming its 1-based line. The body is converted as one
-    block of the scan parser's (ingest.parse_block); a body that fails a
-    check there is parsed again row by row, which raises the error.
+    Blank lines are skipped. A bad header, a bad field count or a field that
+    fails its ingest.TICKS check raises MalformedRow naming its 1-based line.
     """
     lines = text.splitlines()
-    start = next((n for n, ln in enumerate(lines) if ln.strip()), None)
-    header = "" if start is None else lines[start].strip()
+    start = next((n for n, ln in enumerate(lines) if ln.strip()), 0)
+    header = lines[start].strip() if lines else ""
     if header not in (TICK_STATS_HEADER, CALIBRATED_HEADER):
-        line = 1 if start is None else start + 1
-        raise MalformedRow(line, "not a tick statistics CSV (bad or missing header)")
-    width = header.count(",") + 1
-    row_dtype = np.dtype([(name, _TICK_DTYPES[name]) for name in TickStats._fields[:width]])
-    body = lines[start + 1:]
-    columns = parse_block(body, row_dtype, row_dtype.names, _valid_ticks)
-    if columns is None:
-        return TickTable(*_parse_tick_rows(body, start + 2, width))
-    return TickTable(*(column.copy() for column in columns))  # contiguous; frees the records
+        raise MalformedRow(start + 1, "not a tick statistics CSV (bad or missing header)")
+    columns, _ = read_table(lines, start + 1, TICKS, header.split(","))
+    return TickTable(*columns)

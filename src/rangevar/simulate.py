@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, NonPositiveRange
-from .ingest import IntensityKind, ScanDataset, ScanMeta, csv_text
+from .ingest import SCAN, IntensityKind, ScanDataset, ScanMeta, csv_text
 
 # Vertical encoder step between consecutive ticks, radians. Boards occupy
 # consecutive ticks starting at one step above zero.
@@ -157,8 +157,7 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
     between dataset, preprocessing, and ground truth. Rows are emitted
     board by board, profile-major within a board; horizontal angle is 0
     (fixed-azimuth 2D profile mode). A board whose drawn ranges or
-    recorded intensities the scan parser would refuse (a range not finite
-    and > 0, an intensity not finite and >= 0) raises InvalidConfig.
+    recorded intensities fail the scan parser's checks raises InvalidConfig.
     """
     a, b, c = cfg.truth_model
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.boards))
@@ -206,13 +205,13 @@ def simulate_profiles(cfg: SimulationConfig) -> tuple[ScanDataset, GroundTruth]:
             recorded = intensity_true * mean_ranges**2 / cfg.scaling.r_ref
         else:
             recorded = np.full(n_ticks, cfg.scaling.apply(intensity_true))
-        bad_range = ~((ranges > 0) & np.isfinite(ranges))
+        bad_range = ~SCAN["range"].passes(ranges)
         if bad_range.any():
             raise InvalidConfig(
                 f"board {i}: drawn range {float(ranges[bad_range][0])!r} m is not finite and > 0 "
                 f"(truth sigma = {sigma_mm:g} mm at {board.distance:g} m)"
             )
-        bad_intensity = ~((recorded >= 0) & np.isfinite(recorded))
+        bad_intensity = ~SCAN["intensity"].passes(recorded)
         if bad_intensity.any():
             raise InvalidConfig(
                 f"board {i}: recorded intensity {float(recorded[bad_intensity][0])!r} "

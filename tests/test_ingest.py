@@ -1,5 +1,6 @@
 """Parsing, validation, and round-trip behavior of the scan CSV format."""
 
+import dataclasses
 from pathlib import Path
 from unittest import mock
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import ref_parse_scan, ref_validate_rows
+import rangevar.preprocess as pp
+from _reference import ref_parse_scan, ref_read_tick_stats_csv, ref_validate_rows
 from conftest import dataset_rows, make_dataset
 from rangevar import ingest
 from rangevar.errors import (
@@ -27,6 +29,8 @@ from rangevar.ingest import (
     serialize_dataset,
     validate_dataset,
 )
+from test_preprocess import _CHECKED as _TICK_CHECKED
+from test_preprocess import _SEPARATORS, _tick_outcome
 
 COLUMNS = ("profile", "vertical_angle", "horizontal_angle", "range", "intensity")
 HEADER = ",".join(COLUMNS)
@@ -75,6 +79,13 @@ def test_header_only_is_empty_dataset():
 def test_missing_column_reported():
     with pytest.raises(MissingColumn):
         parse_profile_csv("profile,vertical_angle,range,intensity\n0,0.1,10.0,5.0\n")
+
+
+def test_repeated_column_is_named():
+    text = f"{HEADER},profile\n0,0.001,0.0,10.0,1.0,0\n"
+    with pytest.raises(MalformedRow, match=r"^line 1: unexpected columns \['profile'\]$"):
+        parse_profile_csv(text)
+    assert _library_outcome(text, False) == _reference_outcome(text, False)
 
 
 def test_wrong_field_count_reports_line():
@@ -306,6 +317,13 @@ def test_any_bytes_parse_or_raise_rangevar_error(data):
     assert len(ds) >= 1
 
 
+@pytest.mark.parametrize("separator", _SEPARATORS)
+def test_a_string_with_any_line_break_is_csv_text(separator):
+    text = separator.join([HEADER, "0,0.001,0.0,10.0,1.0", "1,0.002,0.0,10.0,1.0"])
+    for source in (text, text.encode()):
+        assert parse_profile_csv(source).profile.tolist() == [0, 1]
+
+
 def test_one_line_string_is_a_path(tmp_path):
     missing = str(tmp_path / "scna.csv")
     with pytest.raises(FileNotFoundError, match="scna.csv"):
@@ -354,7 +372,7 @@ _directive = st.one_of(
 
 @st.composite
 def _scan_texts(draw):
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    """Scan CSV text, as a str or as UTF-8 bytes, with a line separator drawn per line."""
     columns = draw(st.one_of(st.just(COLUMNS), st.permutations(COLUMNS)))
     order = [COLUMNS.index(name) for name in columns]
     head = draw(st.lists(_directive, max_size=1)) + [",".join(columns)]
@@ -369,7 +387,12 @@ def _scan_texts(draw):
         else:
             fields = draw(_valid_row)
             body.append(",".join(fields[k] for k in order))
-    return eol.join(head) + eol + eol.join(body) + draw(st.sampled_from(["", eol]))
+    lines = head + body
+    separators = [draw(st.sampled_from(_SEPARATORS[:2] * 5 + _SEPARATORS)) for _ in lines]
+    text = "".join(line + sep for line, sep in zip(lines, separators))
+    if body and draw(st.booleans()):
+        text = text[:-len(separators[-1])]
+    return text.encode() if draw(st.booleans()) else text
 
 
 def _library_outcome(text, lenient):
@@ -382,6 +405,8 @@ def _library_outcome(text, lenient):
 
 
 def _reference_outcome(text, lenient):
+    if isinstance(text, bytes):
+        text = text.decode()
     try:
         columns, skipped = ref_parse_scan(text, lenient=lenient)
     except RangevarError as exc:
@@ -424,3 +449,56 @@ def test_parser_matches_row_by_row_reference(text, block_lines):
     with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
         for lenient in (False, True):
             assert _library_outcome(text, lenient) == _reference_outcome(text, lenient)
+
+
+# One line per check of the block path: numpy's text reader reads each, and
+# only that check refuses it.
+_CHECKED = [f"{HEADER}\n0,0.001,0.0,10.0,1.0\n{line}\n" for line in [
+    "-1,0.1,0.0,1.0,1.0", "0,inf,0.0,1.0,1.0", "0,0.1,inf,1.0,1.0", "0,0.1,0.0,inf,1.0",
+    "0,0.1,0.0,1.0,inf", "0,0.1,0.0,0.0,1.0", "0,0.1,0.0,1.0,-1e-9",
+]]
+
+
+@pytest.mark.parametrize("text", _CHECKED)
+@pytest.mark.parametrize("block_lines", [1, 16384])
+def test_parser_matches_the_reference_where_one_check_refuses(text, block_lines):
+    with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
+        for lenient in (False, True):
+            assert _library_outcome(text, lenient) == _reference_outcome(text, lenient)
+
+
+def test_parser_takes_the_block_path_on_a_clean_scan():
+    ds = make_dataset([(p, 0.001 * t, 0.0, 10.0 + t, 100.0 + p) for p in range(3) for t in range(20)])
+    with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row path")):
+        assert dataset_rows(parse_profile_csv(serialize_dataset(ds))) == dataset_rows(ds)
+
+
+def _schema_checks():
+    """Each check of both schemas: the module that reads the schema, its name,
+    a column and the field value that drops the check from that column."""
+    for module, name in ((ingest, "SCAN"), (pp, "TICKS")):
+        for column in getattr(module, name).columns:
+            drops = [("finite", False)] * column.finite + [("low", None)] * (column.low is not None)
+            for field, value in drops:
+                yield pytest.param(module, name, column.name, {field: value}, id=f"{column.name}-{field}")
+
+
+def _scan_agrees(text):
+    return all(_library_outcome(text, lenient) == _reference_outcome(text, lenient) for lenient in (False, True))
+
+
+def _ticks_agree(text):
+    return _tick_outcome(pp.read_tick_stats_csv, text) == _tick_outcome(ref_read_tick_stats_csv, text)
+
+
+@pytest.mark.parametrize("module, name, column, drop", _schema_checks())
+def test_each_schema_check_is_what_refuses_its_example_on_both_paths(module, name, column, drop):
+    schema = getattr(module, name)
+    columns = [dataclasses.replace(c, **drop) if c.name == column else c for c in schema.columns]
+    examples, agrees = (_CHECKED, _scan_agrees) if name == "SCAN" else (_TICK_CHECKED, _ticks_agree)
+    assert all(map(agrees, examples))
+    with mock.patch.object(module, name, dataclasses.replace(schema, columns=tuple(columns))):
+        # As written, each example's body is one clean block, so the masks decide;
+        # a blank line after the header sends the block to the row parse.
+        for texts in (examples, [text.replace("\n", "\n\n", 1) for text in examples]):
+            assert not all(map(agrees, texts))

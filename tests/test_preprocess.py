@@ -20,6 +20,7 @@ from _reference import (
     ref_std_about_median,
 )
 from conftest import ladder_dataset, make_dataset, tick_table
+from rangevar import ingest
 from rangevar.errors import DegenerateTicks, MalformedRow, NoSurvivingTicks, RangevarError, TooFewValues
 from rangevar.preprocess import (
     CALIBRATED_HEADER,
@@ -692,5 +693,5 @@ def test_tick_table_reader_matches_the_row_by_row_reference(text):
 
 def test_tick_table_reader_takes_the_block_path_on_a_clean_table():
     table = tick_table([TickStats(i, 0.001 * i, 800.0 + i, 10.0 + i, 1.5, 100 + i, 2.0 + i) for i in range(50)])
-    with mock.patch.object(pp, "_parse_tick_rows", side_effect=AssertionError("row path")):
+    with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row path")):
         assert read_tick_stats_csv(tick_stats_to_csv(table)) == table
